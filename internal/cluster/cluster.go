@@ -421,10 +421,9 @@ func (a *Agent) routes() {
 	a.mux.HandleFunc("POST /v1/sketches/{name}/ingest", a.handleIngest)
 	a.mux.HandleFunc("POST /v1/sketches/{name}/snapshot", a.handlePushFan)
 	a.mux.HandleFunc("GET /v1/sketches/{name}/snapshot", a.handlePullGather)
-	a.mux.HandleFunc("GET /v1/sketches/{name}/topk", a.handleTopK)
-	a.mux.HandleFunc("GET /v1/sketches/{name}/estimate", a.handleEstimate)
-	a.mux.HandleFunc("GET /v1/sketches/{name}/sum", a.handleSum)
-	a.mux.HandleFunc("POST /v1/sketches/{name}/query", a.handleQuery)
+	for pattern, h := range a.srv.PointReads(a.gatherRead) {
+		a.mux.HandleFunc(pattern, h)
+	}
 	a.mux.HandleFunc("GET /v1/sketches/{name}/range/topk", a.handleRange)
 	a.mux.HandleFunc("GET /v1/sketches/{name}/range/sum", a.handleRange)
 	a.mux.HandleFunc("GET /v1/sketches/{name}/range/total", a.handleRange)
@@ -454,6 +453,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // server's error shape.
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// writeRaw relays a peer's JSON answer as-is.
+func writeRaw(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_, _ = w.Write(body)
 }
 
 // statusDTO is the /v1/cluster/status response.

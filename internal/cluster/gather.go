@@ -69,6 +69,25 @@ func (g *gathered) sketch() (*uss.WeightedSketch, error) {
 	return uss.NewWeightedFromBins(m, merged)
 }
 
+// gatherRead is the point reads' cluster source (server.Gather): the
+// owner partials gathered and merged into one sketch, with the gather's
+// degraded marker and, when degraded, its per-peer detail.
+func (a *Agent) gatherRead(ctx context.Context, name string) (*uss.WeightedSketch, *server.ReadHealth, int, error) {
+	g, code, err := a.gatherBins(ctx, name)
+	if err != nil {
+		return nil, nil, code, err
+	}
+	sk, err := g.sketch()
+	if err != nil {
+		return nil, nil, http.StatusInternalServerError, err
+	}
+	rh := &server.ReadHealth{Degraded: g.degraded}
+	if g.degraded {
+		rh.Peers = g.reads
+	}
+	return sk, rh, 0, nil
+}
+
 // gatherBins scatters a read for name to its owner set and gathers the
 // partials, hedging each remote owner with a co-owner copy after
 // HedgeDelay (or immediately on failure). It returns a non-zero HTTP

@@ -19,9 +19,8 @@ import (
 )
 
 // Public proxy handlers: the single-node sketch API re-served with
-// cluster semantics. Writes fan to owners, reads scatter-gather, and
-// responses carry two extra fields — "degraded" and "peers" — when the
-// answer was assembled around a failure.
+// cluster semantics. Writes fan to owners and range reads scatter; point
+// reads are the node's own handlers over the gathered sketch (gatherRead).
 
 // binDTO mirrors the single-node (item, count) response pair.
 type binDTO struct {
@@ -48,16 +47,6 @@ type estimateDTO struct {
 func toEstimateDTO(e uss.Estimate) estimateDTO {
 	lo, hi := e.ConfidenceInterval(0.95)
 	return estimateDTO{Value: e.Value, StdErr: e.StdErr, SampleBins: e.SampleBins, CI95: [2]float64{lo, hi}}
-}
-
-// degradedFields appends the cluster read-health fields to a response
-// map: degraded is always present, per-peer detail only when degraded.
-func (g *gathered) degradedFields(m map[string]any) map[string]any {
-	m["degraded"] = g.degraded
-	if g.degraded {
-		m["peers"] = g.reads
-	}
-	return m
 }
 
 // traceOf extracts the request's span context for attachment to queued
@@ -426,116 +415,6 @@ func (a *Agent) handlePullGather(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(blob)
 }
 
-// gatherSketch runs the scatter-gather and materializes the merged
-// sketch, writing the error response on failure.
-func (a *Agent) gatherSketch(w http.ResponseWriter, r *http.Request, name string) (*uss.WeightedSketch, *gathered, bool) {
-	cfg, ok := a.srv.SketchConfigOf(name)
-	if ok && cfg.Kind == server.KindRollup {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("sketch %q is a rollup; use /range endpoints", name))
-		return nil, nil, false
-	}
-	g, code, err := a.gatherBins(r.Context(), name)
-	if err != nil {
-		writeError(w, code, err)
-		return nil, nil, false
-	}
-	sk, err := g.sketch()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return nil, nil, false
-	}
-	return sk, g, true
-}
-
-func (a *Agent) handleTopK(w http.ResponseWriter, r *http.Request) {
-	k := 10
-	if v := r.URL.Query().Get("k"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad k=%q", v))
-			return
-		}
-		k = n
-	}
-	sk, g, ok := a.gatherSketch(w, r, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, g.degradedFields(map[string]any{"items": toBinDTOs(sk.TopK(k))}))
-}
-
-func (a *Agent) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	item := r.URL.Query().Get("item")
-	if item == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing item parameter"))
-		return
-	}
-	sk, g, ok := a.gatherSketch(w, r, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, g.degradedFields(map[string]any{"item": item, "estimate": sk.Estimate(item)}))
-}
-
-func (a *Agent) handleSum(w http.ResponseWriter, r *http.Request) {
-	pred, err := server.SumPredicate(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	sk, g, ok := a.gatherSketch(w, r, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	est := toEstimateDTO(sk.SubsetSum(pred))
-	writeJSON(w, http.StatusOK, g.degradedFields(map[string]any{
-		"value": est.Value, "std_err": est.StdErr, "sample_bins": est.SampleBins, "ci95": est.CI95,
-	}))
-}
-
-// queryRequest mirrors the single-node POST /query body.
-type queryRequest struct {
-	Where []struct {
-		Dim string   `json:"dim"`
-		In  []string `json:"in"`
-	} `json:"where"`
-	GroupBy []string `json:"group_by"`
-}
-
-func (a *Agent) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, ok := a.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req queryRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode query: %w", err))
-		return
-	}
-	sk, g, ok := a.gatherSketch(w, r, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	spec := uss.QuerySpec{GroupBy: req.GroupBy}
-	for _, f := range req.Where {
-		spec.Where = append(spec.Where, uss.QueryFilter{Dim: f.Dim, In: f.In})
-	}
-	groups, skipped, err := sk.QueryEngine().Prepare(spec).Run()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	out := make([]map[string]any, len(groups))
-	for i, grp := range groups {
-		out[i] = map[string]any{
-			"key": grp.Key, "key_string": grp.KeyString(),
-			"value": grp.Sum.Value, "std_err": grp.Sum.StdErr, "sample_bins": grp.Sum.SampleBins,
-		}
-	}
-	writeJSON(w, http.StatusOK, g.degradedFields(map[string]any{"groups": out, "skipped": skipped}))
-}
-
 // handleInfo aggregates a sketch's stats across its owner set by
 // digest: rows, pushes and total are summed over the disjoint partials.
 func (a *Agent) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -706,8 +585,9 @@ func (a *Agent) handleRange(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 
 	reads := make([]peerRead, len(owners))
-	answered, missed, notFound := 0, 0, 0
+	answered, missed := 0, 0
 	var bodies [][]byte
+	var notFound []byte
 	for i, res := range results {
 		pr := peerRead{Owner: res.owner, Source: "owner"}
 		if res.owner == a.cfg.Self {
@@ -720,7 +600,11 @@ func (a *Agent) handleRange(w http.ResponseWriter, r *http.Request) {
 		case res.status == http.StatusNotFound:
 			// No retained window on this owner: a valid empty answer.
 			answered++
-			notFound++
+			notFound = res.body
+		case res.status >= 400 && res.status < 500:
+			// A bad parameter is the caller's error, not a missed partial.
+			writeRaw(w, res.status, res.body)
+			return
 		case res.status != http.StatusOK:
 			pr.Source, pr.Error = "miss", fmt.Sprintf("status %d: %s", res.status, truncate(res.body, 120))
 			missed++
@@ -740,9 +624,9 @@ func (a *Agent) handleRange(w http.ResponseWriter, r *http.Request) {
 	if degraded {
 		a.met.degraded.Add(1)
 	}
-	if len(bodies) == 0 && notFound > 0 {
-		// Every answering owner said 404: mirror the single-node answer.
-		writeError(w, http.StatusNotFound, fmt.Errorf("no retained window intersects the range"))
+	if len(bodies) == 0 && notFound != nil {
+		// Every answering owner said 404: relay the single-node answer.
+		writeRaw(w, http.StatusNotFound, notFound)
 		return
 	}
 	out, err := mergeRange(op, r, bodies)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,12 +13,12 @@ import (
 )
 
 // Cluster support: the exported surface internal/cluster drives a node
-// through. A cluster agent needs four things from the server it wraps
+// through. A cluster agent needs five things from the server it wraps
 // that the HTTP API does not expose directly: exact per-sketch state
 // blobs (the checkpoint encoding, not a lossy snapshot), the inverse
-// restore, cheap divergence digests for anti-entropy, and the ingest
-// body parser so the proxy can partition rows without re-implementing
-// the wire formats.
+// restore, cheap divergence digests for anti-entropy, the ingest body
+// parser so the proxy can partition rows without re-implementing the
+// wire formats, and the point-read handlers bound to a gathered sketch.
 
 // SketchStats is the exported counter snapshot that travels with a
 // sketch state blob, so a restore lands the counters and the state as
@@ -202,11 +203,43 @@ func (s *Server) DeleteSketch(name string) (bool, error) {
 	return s.deleteSketch(name)
 }
 
-// SumPredicate exposes the sum endpoints' prefix/suffix/items predicate
-// parser, so cluster scatter-gather sums evaluate exactly the
-// single-node semantics.
-func SumPredicate(r *http.Request) (func(string) bool, error) {
-	return sumPredicate(r)
+// ReadHealth is what a gathered read adds to every answer: Degraded,
+// whether it was assembled around a failure, and when it was, the
+// per-owner detail in Peers. A node's own reads carry none.
+type ReadHealth struct {
+	Degraded bool `json:"degraded"`
+	Peers    any  `json:"peers,omitempty"`
+}
+
+// add appends rh's fields to a map answer; a nil rh adds none.
+func (rh *ReadHealth) add(m map[string]any) map[string]any {
+	if rh != nil {
+		m["degraded"] = rh.Degraded
+		if rh.Peers != nil {
+			m["peers"] = rh.Peers
+		}
+	}
+	return m
+}
+
+// Gather builds the sketch a point read of name answers from when it
+// does not live in this node's registry — a cluster agent's merged owner
+// partials — with the read's health, or fails with the status to answer.
+type Gather func(ctx context.Context, name string) (*uss.WeightedSketch, *ReadHealth, int, error)
+
+// PointReads returns the topk, estimate, sum and query handlers keyed by
+// route pattern: over the registry with a nil gather (the node's own
+// routes), else over gather's sketch with its ReadHealth in each answer.
+func (s *Server) PointReads(gather Gather) map[string]http.HandlerFunc {
+	bind := func(h func(http.ResponseWriter, *http.Request, Gather)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) { h(w, r, gather) }
+	}
+	return map[string]http.HandlerFunc{
+		"GET /v1/sketches/{name}/topk":     bind(s.handleTopK),
+		"GET /v1/sketches/{name}/estimate": bind(s.handleEstimate),
+		"GET /v1/sketches/{name}/sum":      bind(s.handleSum),
+		"POST /v1/sketches/{name}/query":   bind(s.handleQuery),
+	}
 }
 
 // IngestRows is a decoded ingest body in columnar form: one item per

@@ -581,8 +581,31 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	return n, nil
 }
 
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.lookup(w, r)
+// pointRead resolves the sketch a point read answers from, writing the
+// error response when it cannot. With a nil gather that is the registry
+// entry (a node's read). Otherwise it is a transient weighted entry over
+// gather's sketch, plus the read's health, so the handler takes the very
+// path a weighted node entry takes; a rollup needs no gather, since every
+// handler rejects it.
+func (s *Server) pointRead(w http.ResponseWriter, r *http.Request, gather Gather) (*entry, *ReadHealth, bool) {
+	if gather == nil {
+		e, ok := s.lookup(w, r)
+		return e, nil, ok
+	}
+	name := r.PathValue("name")
+	if e, ok := s.reg.Get(name); ok && e.cfg.Kind == KindRollup {
+		return e, nil, true
+	}
+	sk, rh, code, err := gather(r.Context(), name)
+	if err != nil {
+		writeError(w, code, err)
+		return nil, nil, false
+	}
+	return &entry{cfg: SketchConfig{Name: name, Kind: KindWeighted, Bins: sk.Capacity()}, weighted: sk}, rh, true
+}
+
+func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, gather Gather) {
+	e, rh, ok := s.pointRead(w, r, gather)
 	if !ok {
 		return
 	}
@@ -609,11 +632,11 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{"items": toBinDTOs(bins)})
+	writeJSON(w, http.StatusOK, rh.add(map[string]any{"items": toBinDTOs(bins)}))
 }
 
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.lookup(w, r)
+func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, gather Gather) {
+	e, rh, ok := s.pointRead(w, r, gather)
 	if !ok {
 		return
 	}
@@ -640,7 +663,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{"item": item, "estimate": est})
+	writeJSON(w, http.StatusOK, rh.add(map[string]any{"item": item, "estimate": est}))
 }
 
 // estimateDTO renders an Estimate with its conservative 95% interval.
@@ -684,8 +707,8 @@ func sumPredicate(r *http.Request) (func(string) bool, error) {
 	}
 }
 
-func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.lookup(w, r)
+func (s *Server) handleSum(w http.ResponseWriter, r *http.Request, gather Gather) {
+	e, rh, ok := s.pointRead(w, r, gather)
 	if !ok {
 		return
 	}
@@ -712,7 +735,11 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, toEstimateDTO(est))
+	// A struct, not a map, so the node's answer keeps its field order.
+	writeJSON(w, http.StatusOK, struct {
+		estimateDTO
+		*ReadHealth
+	}{toEstimateDTO(est), rh})
 }
 
 // queryRequest is the POST /query body: the §2 template.
@@ -785,8 +812,8 @@ func (e *entry) prepared(spec uss.QuerySpec) *uss.PreparedQuery {
 // prepared-query cache: repeat query shapes reuse their compiled program
 // and the sketch's columnar label index, so a query against an unchanged
 // sketch re-parses nothing (PR 2 read path).
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.lookup(w, r)
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, gather Gather) {
+	e, rh, ok := s.pointRead(w, r, gather)
 	if !ok {
 		return
 	}
@@ -826,7 +853,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	e.mu.Unlock()
 	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{"groups": out, "skipped": skipped})
+	writeJSON(w, http.StatusOK, rh.add(map[string]any{"groups": out, "skipped": skipped}))
 }
 
 // rangeParams parses from/to for the rollup range endpoints.

@@ -517,10 +517,9 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/sketches/{name}/snapshot", s.handlePush)
 	s.mux.HandleFunc("GET /v1/sketches/{name}/snapshot", s.handlePull)
 
-	s.mux.HandleFunc("GET /v1/sketches/{name}/topk", s.handleTopK)
-	s.mux.HandleFunc("GET /v1/sketches/{name}/estimate", s.handleEstimate)
-	s.mux.HandleFunc("GET /v1/sketches/{name}/sum", s.handleSum)
-	s.mux.HandleFunc("POST /v1/sketches/{name}/query", s.handleQuery)
+	for pattern, h := range s.PointReads(nil) {
+		s.mux.HandleFunc(pattern, h)
+	}
 
 	s.mux.HandleFunc("GET /v1/sketches/{name}/range/topk", s.handleRangeTopK)
 	s.mux.HandleFunc("GET /v1/sketches/{name}/range/sum", s.handleRangeSum)
