@@ -104,7 +104,7 @@ func runClusterStatus(args []string) error {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("  %-18s%d\n", k, st.Counters[k])
+		fmt.Printf("  %-22s %d\n", k, st.Counters[k])
 	}
 	return nil
 }

@@ -87,13 +87,18 @@ func (a *Agent) handleDigest(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleState serves this node's live partial for one sketch: the exact
-// checkpoint-encoded state by default, or the flattened mergeable bin
-// list with ?format=bins. Config and counters ride the X-Uss-Config and
-// X-Uss-Stats headers. The cluster.slow-peer faultpoint delays the
-// response here, which is what pushes gatherers over their hedge delay.
+// checkpoint-encoded state by default, with config and counters on the
+// X-Uss-Config and X-Uss-Stats headers, or with ?format=bins the
+// flattened mergeable bin list (handlePartialBins). The
+// cluster.slow-peer faultpoint delays the response here, which is what
+// pushes gatherers over their hedge delay.
 func (a *Agent) handleState(w http.ResponseWriter, r *http.Request) {
 	faultinject.Sleep("cluster.slow-peer", 250*time.Millisecond)
 	name := r.PathValue("name")
+	if r.URL.Query().Get("format") == "bins" {
+		a.handlePartialBins(w, r, name)
+		return
+	}
 	cfg, stats, blob, err := a.srv.SketchState(name)
 	if err != nil {
 		code := http.StatusInternalServerError
@@ -103,22 +108,47 @@ func (a *Agent) handleState(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	if r.URL.Query().Get("format") == "bins" {
-		bins, berr := server.StateBins(cfg, blob)
-		if berr != nil {
-			writeError(w, http.StatusBadRequest, berr)
-			return
-		}
-		m := len(bins)
-		if m < 1 {
-			m = 1
-		}
-		if blob, err = uss.EncodeBins(m, bins); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-	}
 	writeStateBlob(w, cfg, stats, blob)
+}
+
+// handlePartialBins serves a partial's bins straight from the live
+// sketch under an ETag naming their cut (server.PartialBins). A request
+// whose If-None-Match carries the current tag gets 304 and no body, so
+// an unchanged partial costs its gatherer neither encode nor decode.
+func (a *Agent) handlePartialBins(w http.ResponseWriter, r *http.Request, name string) {
+	cfg, ok := a.srv.SketchConfigOf(name)
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Errorf("sketch %q: %w", name, server.ErrNotFound))
+		return
+	}
+	if cfg.Kind == server.KindRollup {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("sketch %q: %s state has no flat bin view", name, cfg.Kind))
+		return
+	}
+	have, _ := strconv.Unquote(r.Header.Get("If-None-Match"))
+	bins, tag, err := a.srv.PartialBins(name, have)
+	if err != nil {
+		code := http.StatusInternalServerError
+		if errors.Is(err, server.ErrNotFound) {
+			code = http.StatusNotFound
+		}
+		writeError(w, code, err)
+		return
+	}
+	w.Header().Set("ETag", strconv.Quote(tag))
+	if tag == have {
+		a.met.notModified.Add(1)
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	blob, err := uss.EncodeBins(max(len(bins), 1), bins)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(blob)))
+	_, _ = w.Write(blob)
 }
 
 // handleCopy serves this node's anti-entropy copy of ?owner='s partial
@@ -293,6 +323,13 @@ func (a *Agent) AntiEntropyRound(ctx context.Context) AEStats {
 		}
 		a.copyMu.Unlock()
 	}
+	a.gatherMu.Lock()
+	for name := range a.gathers {
+		if _, ok := a.srv.SketchConfigOf(name); !ok {
+			delete(a.gathers, name) // deleted here, by another node's broadcast
+		}
+	}
+	a.gatherMu.Unlock()
 	if len(st.Errors) > 0 {
 		sp.Finish(obs.StatusError)
 		a.log.Warn("anti-entropy round finished with errors",

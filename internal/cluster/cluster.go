@@ -174,6 +174,11 @@ type metrics struct {
 	aeRounds     atomic.Int64 // anti-entropy rounds run
 	aePulls      atomic.Int64 // state blobs pulled by anti-entropy
 	breakerFast  atomic.Int64 // requests refused instantly by an open breaker
+	notModified  atomic.Int64 // owner partial requests answered 304
+
+	// gatherReads counts gathered point reads by cache result,
+	// indexed like gatherResults.
+	gatherReads [len(gatherResults)]atomic.Int64
 }
 
 // Agent is one cluster node: the proxy endpoints it serves, the fan
@@ -196,6 +201,12 @@ type Agent struct {
 
 	copyMu sync.Mutex
 	copies map[copyKey]*sketchCopy
+
+	// gathers holds each sketch name's last clean gather (gatherRead):
+	// one entry per name, dropped with the name on delete and by
+	// anti-entropy garbage collection.
+	gatherMu sync.Mutex
+	gathers  map[string]*gatherCache
 
 	met metrics
 
@@ -224,6 +235,7 @@ func New(cfg Config, srv *server.Server) (*Agent, error) {
 		health:   make(map[string]*peerHealth, len(cfg.Peers)),
 		breakers: make(map[string]*replica.Breaker, len(cfg.Peers)),
 		copies:   make(map[copyKey]*sketchCopy),
+		gathers:  make(map[string]*gatherCache),
 		ctx:      ctx,
 		cancel:   cancel,
 	}
@@ -295,6 +307,13 @@ func (a *Agent) emitMetrics(w io.Writer) {
 	p("ussd_cluster_ae_rounds_total %d\n", a.met.aeRounds.Load())
 	fam("ussd_cluster_ae_pulls_total", "counter", "Exact-state blobs pulled by anti-entropy on digest divergence.")
 	p("ussd_cluster_ae_pulls_total %d\n", a.met.aePulls.Load())
+	fam("ussd_cluster_gather_reads_total", "counter",
+		"Gathered point reads by cache result: hit (cached handle, every owner partial unchanged), partial (some unchanged partials reused), miss (none reused), uncached (degraded gather; cache not used).")
+	for i, res := range gatherResults {
+		p("ussd_cluster_gather_reads_total{result=%q} %d\n", res, a.met.gatherReads[i].Load())
+	}
+	fam("ussd_cluster_partials_not_modified_total", "counter", "Owner partial requests answered 304 because the gatherer's version token was current.")
+	p("ussd_cluster_partials_not_modified_total %d\n", a.met.notModified.Load())
 	fam("ussd_cluster_breaker_fastfails_total", "counter", "Peer requests refused instantly by an open circuit breaker.")
 	p("ussd_cluster_breaker_fastfails_total %d\n", a.met.breakerFast.Load())
 	fam("ussd_cluster_breaker_trips_total", "counter", "Closed-to-open circuit breaker transitions, per peer link.")
@@ -502,17 +521,21 @@ func (a *Agent) handleStatus(w http.ResponseWriter, r *http.Request) {
 		ReplicationFactor: a.cfg.ReplicationFactor,
 		ReadQuorum:        a.cfg.ReadQuorum,
 		Counters: map[string]int64{
-			"fanned":            a.met.fanned.Load(),
-			"fan_retries":       a.met.fanRetries.Load(),
-			"fan_fallbacks":     a.met.fanFallbacks.Load(),
-			"fan_shed":          a.met.fanShed.Load(),
-			"hedges":            a.met.hedges.Load(),
-			"degraded":          a.met.degraded.Load(),
-			"ae_rounds":         a.met.aeRounds.Load(),
-			"ae_pulls":          a.met.aePulls.Load(),
-			"breaker_trips":     a.breakerTrips(),
-			"breaker_fastfails": a.met.breakerFast.Load(),
+			"fanned":                a.met.fanned.Load(),
+			"fan_retries":           a.met.fanRetries.Load(),
+			"fan_fallbacks":         a.met.fanFallbacks.Load(),
+			"fan_shed":              a.met.fanShed.Load(),
+			"hedges":                a.met.hedges.Load(),
+			"degraded":              a.met.degraded.Load(),
+			"ae_rounds":             a.met.aeRounds.Load(),
+			"ae_pulls":              a.met.aePulls.Load(),
+			"breaker_trips":         a.breakerTrips(),
+			"breaker_fastfails":     a.met.breakerFast.Load(),
+			"partials_not_modified": a.met.notModified.Load(),
 		},
+	}
+	for i, res := range gatherResults {
+		st.Counters["gather_reads_"+res] = a.met.gatherReads[i].Load()
 	}
 	for _, p := range a.cfg.Peers {
 		if a.alive(p) {

@@ -54,6 +54,13 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, n int, mut func(*Config)) *testCluster {
 	t.Helper()
+	return newTestClusterOf(t, n, mut, func(int) *server.Server { return server.New(server.Config{}) })
+}
+
+// newTestClusterOf is newTestCluster with node i's server built by
+// newSrv.
+func newTestClusterOf(t *testing.T, n int, mut func(*Config), newSrv func(i int) *server.Server) *testCluster {
+	t.Helper()
 	tc := &testCluster{t: t}
 	for i := 0; i < n; i++ {
 		sw := &swapHandler{}
@@ -63,7 +70,7 @@ func newTestCluster(t *testing.T, n int, mut func(*Config)) *testCluster {
 		tc.urls = append(tc.urls, hs.URL)
 	}
 	for i := 0; i < n; i++ {
-		srv := server.New(server.Config{})
+		srv := newSrv(i)
 		cfg := Config{
 			Self:       tc.urls[i],
 			Peers:      append([]string(nil), tc.urls...),

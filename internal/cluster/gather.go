@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -32,14 +34,44 @@ type peerRead struct {
 }
 
 // gathered is one scatter-gather read's raw material: the sketch
-// config, every obtained partial's bin list, and the per-peer detail.
+// config and owner set, each owner's partial (in owner order), and the
+// per-peer detail.
 type gathered struct {
 	cfg      server.SketchConfig
-	lists    [][]uss.Bin
+	owners   []string
+	parts    []partial
 	reads    []peerRead
 	answered int
 	degraded bool
 }
+
+// partial is one owner's share of a gather; a missed partial is zero.
+type partial struct {
+	bins []uss.Bin
+	tag  string // its version token; empty unless owner- or local-sourced
+	same bool   // tag matched the cached gather's: bins are the cached bins
+}
+
+// gatherCache is the last clean gather of one sketch name: the owner
+// partials with their tokens, and the read handle merged from them.
+// Immutable once stored; a newer gather replaces it whole.
+type gatherCache struct {
+	cfg    server.SketchConfig
+	owners []string
+	parts  []partial
+	read   *server.GatheredRead
+}
+
+// gatherResults name the gathered point-read outcomes counted in
+// ussd_cluster_gather_reads_total, indexed by the gather* constants.
+var gatherResults = [...]string{"hit", "partial", "miss", "uncached"}
+
+const (
+	gatherHit      = iota // every partial unchanged: the cached handle answered
+	gatherPartial         // some partials unchanged: re-merged with their cached bins
+	gatherMiss            // no partial reused
+	gatherUncached        // degraded: the cache was neither read nor filled
+)
 
 // merged collapses the gathered partials into one exact bin list. The
 // partials are disjoint substreams, so with the merge budget set to the
@@ -47,88 +79,130 @@ type gathered struct {
 // gathers fan the sum out across uss.MergeParallelism goroutines; the
 // parallel merge is bit-identical to the sequential one.
 func (g *gathered) merged() []uss.Bin {
+	lists := make([][]uss.Bin, len(g.parts))
 	m := 0
-	for _, l := range g.lists {
-		m += len(l)
+	for i, p := range g.parts {
+		lists[i] = p.bins
+		m += len(p.bins)
 	}
 	if m == 0 {
 		return nil
 	}
-	return uss.MergeBinsParallel(m, uss.Pairwise, g.lists...)
-}
-
-// sketch materializes the merged partials as a weighted sketch sized to
-// hold them exactly, so cluster reads answer through the same TopK /
-// Estimate / SubsetSum / query code single-node reads use.
-func (g *gathered) sketch() (*uss.WeightedSketch, error) {
-	merged := g.merged()
-	m := len(merged)
-	if m < 1 {
-		m = 1
-	}
-	return uss.NewWeightedFromBins(m, merged)
+	return uss.MergeBinsParallel(m, uss.Pairwise, lists...)
 }
 
 // gatherRead is the point reads' cluster source (server.Gather): the
-// owner partials gathered and merged into one sketch, with the gather's
-// degraded marker and, when degraded, its per-peer detail.
-func (a *Agent) gatherRead(ctx context.Context, name string) (*uss.WeightedSketch, *server.ReadHealth, int, error) {
-	g, code, err := a.gatherBins(ctx, name)
+// owner partials gathered and merged into one read handle, with the
+// gather's degraded marker and, when degraded, its per-peer detail.
+//
+// Each name keeps its last clean gather. Every owner is sent the token
+// of its cached partial and answers 304 while its partial is unchanged,
+// so a read pays only for the partials that changed; when none did, the
+// cached handle answers without any decode, merge or materialization. A
+// degraded gather reuses a 304'd partial's bins (the token proves them
+// current) but never answers from the cached handle or replaces it.
+func (a *Agent) gatherRead(ctx context.Context, name string) (*server.GatheredRead, *server.ReadHealth, int, error) {
+	a.gatherMu.Lock()
+	prev := a.gathers[name]
+	a.gatherMu.Unlock()
+	g, code, err := a.gatherBins(ctx, name, prev)
 	if err != nil {
+		if code == http.StatusNotFound {
+			a.dropGather(name)
+		}
 		return nil, nil, code, err
 	}
-	sk, err := g.sketch()
-	if err != nil {
-		return nil, nil, http.StatusInternalServerError, err
+	same := 0
+	for _, p := range g.parts {
+		if p.same {
+			same++
+		}
 	}
 	rh := &server.ReadHealth{Degraded: g.degraded}
 	if g.degraded {
 		rh.Peers = g.reads
+		gr, err := server.NewGatheredRead(name, g.merged())
+		if err != nil {
+			return nil, nil, http.StatusInternalServerError, err
+		}
+		a.met.gatherReads[gatherUncached].Add(1)
+		return gr, rh, 0, nil
 	}
-	return sk, rh, 0, nil
+	if same == len(g.parts) { // only prev's tokens can match, so prev is set
+		a.met.gatherReads[gatherHit].Add(1)
+		return prev.read, rh, 0, nil
+	}
+	gr, err := server.NewGatheredRead(name, g.merged())
+	if err != nil {
+		return nil, nil, http.StatusInternalServerError, err
+	}
+	if same > 0 {
+		a.met.gatherReads[gatherPartial].Add(1)
+	} else {
+		a.met.gatherReads[gatherMiss].Add(1)
+	}
+	a.gatherMu.Lock()
+	a.gathers[name] = &gatherCache{cfg: g.cfg, owners: g.owners, parts: g.parts, read: gr}
+	a.gatherMu.Unlock()
+	return gr, rh, 0, nil
+}
+
+// dropGather forgets name's cached gather.
+func (a *Agent) dropGather(name string) {
+	a.gatherMu.Lock()
+	delete(a.gathers, name)
+	a.gatherMu.Unlock()
 }
 
 // gatherBins scatters a read for name to its owner set and gathers the
 // partials, hedging each remote owner with a co-owner copy after
-// HedgeDelay (or immediately on failure). It returns a non-zero HTTP
-// status only when the read cannot be answered at all: 404 for an
-// unknown sketch, 503 when fewer than ReadQuorum partials answered.
-// Anything gathered at quorum is served — degraded, never 5xx.
-func (a *Agent) gatherBins(ctx context.Context, name string) (*gathered, int, error) {
+// HedgeDelay (or immediately on failure). prev, when it matches the
+// sketch's config and owner set, supplies each owner's cached token and
+// bins. It returns a non-zero HTTP status only when the read cannot be
+// answered at all: 404 for an unknown sketch, 503 when fewer than
+// ReadQuorum partials answered. Anything gathered at quorum is served —
+// degraded, never 5xx.
+func (a *Agent) gatherBins(ctx context.Context, name string, prev *gatherCache) (*gathered, int, error) {
 	cfg, ok := a.srv.SketchConfigOf(name)
 	if !ok {
 		return nil, http.StatusNotFound, fmt.Errorf("sketch %q: %w", name, server.ErrNotFound)
 	}
 	owners := a.owners(name)
+	if prev != nil && (prev.cfg != cfg || !slices.Equal(prev.owners, owners)) {
+		prev = nil
+	}
 	tr := a.ob.Tracer()
 	parent, _ := obs.FromContext(ctx)
 	gsp := tr.Start(parent, "cluster.gather")
 	start := time.Now()
 	ctx = obs.ContextWith(ctx, gsp.Context())
-	g := &gathered{cfg: cfg, reads: make([]peerRead, len(owners))}
+	g := &gathered{
+		cfg: cfg, owners: owners,
+		parts: make([]partial, len(owners)), reads: make([]peerRead, len(owners)),
+	}
 	var wg sync.WaitGroup
-	var mu sync.Mutex
 	for i, o := range owners {
+		var cached partial
+		if prev != nil {
+			cached = prev.parts[i]
+		}
 		wg.Add(1)
 		go func(i int, o string) {
 			defer wg.Done()
-			bins, src, err := a.fetchPartial(ctx, name, o, owners)
-			mu.Lock()
-			defer mu.Unlock()
-			pr := peerRead{Owner: o, Source: src, Bins: len(bins)}
+			p, src, err := a.fetchPartial(ctx, name, o, owners, cached)
+			pr := peerRead{Owner: o, Source: src, Bins: len(p.bins)}
 			if err != nil {
 				pr.Error = err.Error()
-				g.reads[i] = pr
-				return
 			}
-			g.lists = append(g.lists, bins)
-			g.answered++
-			g.reads[i] = pr
+			g.parts[i], g.reads[i] = p, pr
 		}(i, o)
 	}
 	wg.Wait()
 	a.ob.GatherHist.RecordSince(start)
 	for _, pr := range g.reads {
+		if pr.Error == "" {
+			g.answered++
+		}
 		if pr.Error != "" || (pr.Source != "owner" && pr.Source != "local") {
 			g.degraded = true
 		}
@@ -148,17 +222,19 @@ func (a *Agent) gatherBins(ctx context.Context, name string) (*gathered, int, er
 
 // fetchPartial obtains one owner's partial: locally for self, otherwise
 // from the owner with a copy-sourced hedge racing it after HedgeDelay.
-// The cluster.partial-read faultpoint forces a whole-partial miss.
-func (a *Agent) fetchPartial(ctx context.Context, name, owner string, owners []string) ([]uss.Bin, string, error) {
+// cached is the owner's partial from the last clean gather (zero when
+// none): the owner is asked for bins only if its token moved on. The
+// cluster.partial-read faultpoint forces a whole-partial miss.
+func (a *Agent) fetchPartial(ctx context.Context, name, owner string, owners []string, cached partial) (partial, string, error) {
 	if owner == a.cfg.Self {
-		bins, err := a.localBins(name)
+		bins, tag, err := a.srv.PartialBins(name, cached.tag)
 		if err != nil {
-			return nil, "miss", err
+			return partial{}, "miss", err
 		}
-		return bins, "local", nil
+		return fresh(cached, bins, tag), "local", nil
 	}
 	if faultinject.Hit("cluster.partial-read") {
-		return nil, "miss", fmt.Errorf("faultpoint cluster.partial-read dropped owner %s", owner)
+		return partial{}, "miss", fmt.Errorf("faultpoint cluster.partial-read dropped owner %s", owner)
 	}
 	// The primary and its hedge race; whichever loses must not keep its
 	// request (and the goroutine reading the response) alive until the
@@ -170,16 +246,16 @@ func (a *Agent) fetchPartial(ctx context.Context, name, owner string, owners []s
 	tr := a.ob.Tracer()
 	parent, _ := obs.FromContext(ctx)
 	type res struct {
-		bins []uss.Bin
-		src  string
-		err  error
+		p   partial
+		src string
+		err error
 	}
 	ch := make(chan res, 2)
 	go func() {
 		sp := tr.Start(parent, "cluster.fetch-owner")
-		bins, err := a.fetchOwnerBins(obs.ContextWith(ctx, sp.Context()), owner, name)
+		bins, tag, err := a.fetchOwnerBins(obs.ContextWith(ctx, sp.Context()), owner, name, cached.tag)
 		sp.FinishErr(err)
-		ch <- res{bins, "owner", err}
+		ch <- res{fresh(cached, bins, tag), "owner", err}
 	}()
 	inflight := 1
 	hedged := false
@@ -189,7 +265,7 @@ func (a *Agent) fetchPartial(ctx context.Context, name, owner string, owners []s
 		}
 		hedged = true
 		if a.startHedge(ctx, name, owner, owners, func(bins []uss.Bin, err error) {
-			ch <- res{bins, "copy", err}
+			ch <- res{partial{bins: bins}, "copy", err}
 		}) {
 			a.met.hedges.Add(1)
 			inflight++
@@ -202,7 +278,7 @@ func (a *Agent) fetchPartial(ctx context.Context, name, owner string, owners []s
 		select {
 		case r := <-ch:
 			if r.err == nil {
-				return r.bins, r.src, nil
+				return r.p, r.src, nil
 			}
 			if firstErr == nil {
 				firstErr = r.err
@@ -210,14 +286,23 @@ func (a *Agent) fetchPartial(ctx context.Context, name, owner string, owners []s
 			inflight--
 			hedge() // a failed primary fires the hedge immediately
 			if inflight == 0 {
-				return nil, "miss", firstErr
+				return partial{}, "miss", firstErr
 			}
 		case <-timer.C:
 			hedge()
 		case <-ctx.Done():
-			return nil, "miss", ctx.Err()
+			return partial{}, "miss", ctx.Err()
 		}
 	}
+}
+
+// fresh is the partial an owner answered with: the cached one when tag
+// still matches its token (no bins were sent), else the new bins.
+func fresh(cached partial, bins []uss.Bin, tag string) partial {
+	if cached.tag != "" && tag == cached.tag {
+		return partial{bins: cached.bins, tag: tag, same: true}
+	}
+	return partial{bins: bins, tag: tag}
 }
 
 // startHedge launches the copy-sourced fallback read for owner's
@@ -269,22 +354,40 @@ func (a *Agent) startHedge(ctx context.Context, name, owner string, owners []str
 	return false
 }
 
-// localBins flattens this node's own partial.
-func (a *Agent) localBins(name string) ([]uss.Bin, error) {
-	cfg, _, blob, err := a.srv.SketchState(name)
+// fetchOwnerBins fetches an owner's partial in bins format with its
+// version token. have is the token of the caller's cached copy ("" for
+// none); an owner whose partial still matches it answers 304 and no
+// bins, reported as tag == have.
+func (a *Agent) fetchOwnerBins(ctx context.Context, owner, name, have string) ([]uss.Bin, string, error) {
+	path := "/v1/cluster/state/" + name + "?format=bins"
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+path, nil)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return server.StateBins(cfg, blob)
-}
-
-// fetchOwnerBins fetches an owner's partial in bins format.
-func (a *Agent) fetchOwnerBins(ctx context.Context, owner, name string) ([]uss.Bin, error) {
-	blob, err := a.getBlob(ctx, owner, "/v1/cluster/state/"+name+"?format=bins", nil)
+	if have != "" {
+		req.Header.Set("If-None-Match", strconv.Quote(have))
+	}
+	resp, err := a.doPeer(owner, req)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return uss.DecodeBins(blob)
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotModified {
+		return nil, have, nil
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, a.cfg.MaxBodyBytes))
+	if err != nil {
+		return nil, "", err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, "", fmt.Errorf("GET %s%s: status %d: %s", owner, path, resp.StatusCode, truncate(body, 160))
+	}
+	bins, err := uss.DecodeBins(body)
+	if err != nil {
+		return nil, "", err
+	}
+	tag, _ := strconv.Unquote(resp.Header.Get("ETag"))
+	return bins, tag, nil
 }
 
 // stateHeaders carries a state/copy response's sidecar metadata.

@@ -110,6 +110,7 @@ func (a *Agent) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	a.dropCopies(name)
+	a.dropGather(name)
 	a.broadcastOthers(r.Context(), http.MethodDelete, "/v1/cluster/sketches/"+name, "", "", nil, http.StatusNoContent, http.StatusNotFound)
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -388,7 +389,7 @@ func (a *Agent) handlePullGather(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("sketch %q is a rollup; pull a range with /range endpoints", name))
 		return
 	}
-	g, code, err := a.gatherBins(r.Context(), name)
+	g, code, err := a.gatherBins(r.Context(), name, nil)
 	if err != nil {
 		writeError(w, code, err)
 		return

@@ -30,6 +30,7 @@ package server
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"os"
@@ -179,6 +180,7 @@ func (s *Server) ensureLive(e *entry) error {
 		}
 	}
 	e.unit, e.weighted, e.sharded, e.rollup = rb.Unit, rb.Weighted, rb.Sharded, rb.Rollup
+	e.gen = rand.Uint64()
 	e.cold.Store(false)
 	_ = os.Remove(e.coldPath)
 	s.met.revivals.Add(1)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -13,12 +15,13 @@ import (
 )
 
 // Cluster support: the exported surface internal/cluster drives a node
-// through. A cluster agent needs five things from the server it wraps
+// through. A cluster agent needs six things from the server it wraps
 // that the HTTP API does not expose directly: exact per-sketch state
 // blobs (the checkpoint encoding, not a lossy snapshot), the inverse
-// restore, cheap divergence digests for anti-entropy, the ingest body
-// parser so the proxy can partition rows without re-implementing the
-// wire formats, and the point-read handlers bound to a gathered sketch.
+// restore, a partial's flat bins with a version token, cheap divergence
+// digests for anti-entropy, the ingest body parser so the proxy can
+// partition rows without re-implementing the wire formats, and the
+// point-read handlers bound to a gathered sketch.
 
 // SketchStats is the exported counter snapshot that travels with a
 // sketch state blob, so a restore lands the counters and the state as
@@ -113,6 +116,7 @@ func (s *Server) RestoreSketch(cfg SketchConfig, stats SketchStats, blob []byte)
 		}
 		e.mu.Lock()
 		e.unit, e.weighted, e.sharded, e.rollup = rb.Unit, rb.Weighted, rb.Sharded, rb.Rollup
+		e.gen = rand.Uint64()
 		e.qe, e.prep = nil, nil // engines are bound to the replaced sketch
 		e.cold.Store(false)     // the restored state supersedes any cold blob
 		e.rows.Store(stats.Rows)
@@ -126,7 +130,7 @@ func (s *Server) RestoreSketch(cfg SketchConfig, stats SketchStats, blob []byte)
 		e.mu.Unlock()
 		return nil
 	}
-	ne := &entry{cfg: cfg}
+	ne := &entry{cfg: cfg, gen: rand.Uint64()}
 	ne.unit, ne.weighted, ne.sharded, ne.rollup = rb.Unit, rb.Weighted, rb.Sharded, rb.Rollup
 	ne.rows.Store(stats.Rows)
 	ne.pushes.Store(stats.Pushes)
@@ -149,13 +153,87 @@ func (s *Server) RestoreSketch(cfg SketchConfig, stats SketchStats, blob []byte)
 	return s.reg.adopt(ne)
 }
 
-// StateBins flattens a SketchState blob into a mergeable bin list for
-// scatter-gather reads: unit and weighted blobs are wire-v2 snapshots
-// and decode directly; sharded blobs are restored into a scratch
-// ShardedSketch and collapsed through Snapshot (an exact merge when the
-// union fits the combined shard capacity, as a faithful copy always
-// does). Rollup state is windowed and has no flat bin view — range
-// reads forward the query instead.
+// bootNonce tells this process's partial tokens from an earlier
+// process's: entry generations and sketch versions start over with the
+// process, the nonce does not.
+var bootNonce = rand.Uint64()
+
+// PartialBins returns name's flat, mergeable bin list cut straight from
+// its live state, with an opaque token naming that cut — the owner side
+// of a scatter-gather read. Equal tokens mean equal bins: a token joins
+// the process's boot nonce, the entry's generation (redrawn whenever the
+// sketch object is replaced) and the version the bins were read at (for
+// a sharded sketch, the per-shard versions of its cached snapshot). When
+// have is the current token the bins are not read and nil is returned,
+// since the caller's copy is current. Sharded bins are a read-only view
+// shared with the sketch's snapshot cache; unit and weighted bins are a
+// copy. Rollup state is windowed and has no flat bin view.
+func (s *Server) PartialBins(name, have string) ([]uss.Bin, string, error) {
+	e, ok := s.reg.Get(name)
+	if !ok {
+		return nil, "", fmt.Errorf("sketch %q: %w", name, ErrNotFound)
+	}
+	if err := s.ensureLive(e); err != nil {
+		return nil, "", err
+	}
+	e.mu.Lock()
+	switch e.cfg.Kind {
+	case KindSharded:
+		sh, gen := e.sharded, e.gen
+		e.mu.Unlock()
+		bins, versions := sh.SnapshotBins()
+		if tok := partialToken(gen, versions...); tok != have {
+			return bins, tok, nil
+		}
+		return nil, have, nil
+	case KindUnit, KindWeighted:
+		defer e.mu.Unlock()
+		var sk binSource = e.weighted
+		if e.cfg.Kind == KindUnit {
+			sk = e.unit
+		}
+		if tok := partialToken(e.gen, sk.Version()); tok != have {
+			return sk.Bins(), tok, nil
+		}
+		return nil, have, nil
+	default:
+		e.mu.Unlock()
+		return nil, "", fmt.Errorf("sketch %q: %s state has no flat bin view", name, e.cfg.Kind)
+	}
+}
+
+// binSource is what PartialBins reads from a unit or weighted sketch.
+type binSource interface {
+	Bins() []uss.Bin
+	Version() uint64
+}
+
+// partialToken renders a partial's token: the boot nonce, the entry
+// generation and the version list, in base 36.
+func partialToken(gen uint64, versions ...uint64) string {
+	b := make([]byte, 0, 28+8*len(versions))
+	b = strconv.AppendUint(b, bootNonce, 36)
+	b = append(b, '-')
+	b = strconv.AppendUint(b, gen, 36)
+	for i, v := range versions {
+		if i == 0 {
+			b = append(b, '-')
+		} else {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, v, 36)
+	}
+	return string(b)
+}
+
+// StateBins flattens a SketchState blob into a mergeable bin list — the
+// hedged copy read, whose source is an exact-state blob rather than a
+// live sketch: unit and weighted blobs are wire-v2 snapshots and decode
+// directly; sharded blobs are restored into a scratch ShardedSketch and
+// collapsed through Snapshot (an exact merge when the union fits the
+// combined shard capacity, as a faithful copy always does). Rollup state
+// is windowed and has no flat bin view — range reads forward the query
+// instead.
 func StateBins(cfg SketchConfig, blob []byte) ([]uss.Bin, error) {
 	switch cfg.Kind {
 	case KindUnit, KindWeighted:
@@ -222,10 +300,28 @@ func (rh *ReadHealth) add(m map[string]any) map[string]any {
 	return m
 }
 
+// GatheredRead is the sketch a gathered point read answers from: an
+// exact merge of owner partials held as a weighted entry, so the read
+// handlers take the very path a node's weighted entry takes. It is
+// read-only and safe to share, so a gatherer may keep one across reads
+// while its partials are unchanged: repeat reads then share its lock,
+// its label index and its prepared-query cache.
+type GatheredRead struct{ e *entry }
+
+// NewGatheredRead wraps bins, a merge of name's partials with distinct
+// items, as a gathered read sized to hold them exactly.
+func NewGatheredRead(name string, bins []uss.Bin) (*GatheredRead, error) {
+	sk, err := uss.NewWeightedFromBins(max(len(bins), 1), bins)
+	if err != nil {
+		return nil, fmt.Errorf("sketch %q: gathered bins: %w", name, err)
+	}
+	return &GatheredRead{e: &entry{cfg: SketchConfig{Name: name, Kind: KindWeighted, Bins: sk.Capacity()}, weighted: sk}}, nil
+}
+
 // Gather builds the sketch a point read of name answers from when it
 // does not live in this node's registry — a cluster agent's merged owner
 // partials — with the read's health, or fails with the status to answer.
-type Gather func(ctx context.Context, name string) (*uss.WeightedSketch, *ReadHealth, int, error)
+type Gather func(ctx context.Context, name string) (*GatheredRead, *ReadHealth, int, error)
 
 // PointReads returns the topk, estimate, sum and query handlers keyed by
 // route pattern: over the registry with a nil gather (the node's own

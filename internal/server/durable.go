@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"sort"
 	"sync"
@@ -137,7 +138,7 @@ func entryFromRebuilt(rb *store.RebuiltSketch) (*entry, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	e := &entry{cfg: cfg}
+	e := &entry{cfg: cfg, gen: rand.Uint64()}
 	e.lastAccess.Store(time.Now().UnixNano())
 	e.unit, e.weighted, e.sharded, e.rollup = rb.Unit, rb.Weighted, rb.Sharded, rb.Rollup
 	e.rows.Store(rb.Rows)
@@ -343,6 +344,7 @@ func (s *Server) applyPush(e *entry, pushed []uss.Bin, red uss.Reduction, lsn ui
 		return applyResult{err: fmt.Errorf("load merged bins: %w", err)}
 	}
 	e.weighted = nw
+	e.gen = rand.Uint64()
 	e.qe, e.prep = nil, nil // engines are bound to the replaced sketch
 	// Counter and watermark advance together under the entry lock, so a
 	// concurrent checkpoint persists the push in both or in neither.

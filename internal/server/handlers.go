@@ -583,8 +583,8 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 
 // pointRead resolves the sketch a point read answers from, writing the
 // error response when it cannot. With a nil gather that is the registry
-// entry (a node's read). Otherwise it is a transient weighted entry over
-// gather's sketch, plus the read's health, so the handler takes the very
+// entry (a node's read). Otherwise it is the weighted entry of gather's
+// GatheredRead, plus the read's health, so the handler takes the very
 // path a weighted node entry takes; a rollup needs no gather, since every
 // handler rejects it.
 func (s *Server) pointRead(w http.ResponseWriter, r *http.Request, gather Gather) (*entry, *ReadHealth, bool) {
@@ -596,12 +596,12 @@ func (s *Server) pointRead(w http.ResponseWriter, r *http.Request, gather Gather
 	if e, ok := s.reg.Get(name); ok && e.cfg.Kind == KindRollup {
 		return e, nil, true
 	}
-	sk, rh, code, err := gather(r.Context(), name)
+	gr, rh, code, err := gather(r.Context(), name)
 	if err != nil {
 		writeError(w, code, err)
 		return nil, nil, false
 	}
-	return &entry{cfg: SketchConfig{Name: name, Kind: KindWeighted, Bins: sk.Capacity()}, weighted: sk}, rh, true
+	return gr.e, rh, true
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, gather Gather) {

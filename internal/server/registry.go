@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -129,6 +130,14 @@ type entry struct {
 	// enc is the pull endpoint's reused snapshot encode buffer.
 	enc []byte
 
+	// gen is the sketch object's generation: drawn when the entry is
+	// built and redrawn wherever the sketch object is replaced (cluster
+	// restore, cold revive, push), whose version counters restart. It is
+	// part of every partial token (PartialBins), so a token names one
+	// state of one sketch object. Written under mu or before the entry
+	// is shared.
+	gen uint64
+
 	rows    atomic.Int64 // rows applied (ingest)
 	pushes  atomic.Int64 // snapshots merged in
 	dropped atomic.Int64 // rollup rows past the retention horizon
@@ -170,7 +179,7 @@ type entry struct {
 
 // newEntry constructs the sketch for a validated config.
 func newEntry(cfg SketchConfig) (*entry, error) {
-	e := &entry{cfg: cfg}
+	e := &entry{cfg: cfg, gen: rand.Uint64()}
 	e.lastAccess.Store(time.Now().UnixNano())
 	switch cfg.Kind {
 	case KindUnit:

@@ -345,6 +345,18 @@ func (b shardedBinner) QuerySnapshot() ([]Bin, *labelidx.Index, float64) {
 	return c.bins, c.labelIndex(), c.minCount
 }
 
+// SnapshotBins returns the merged bins of all shards from the cached
+// snapshot (ascending count order, no reduction) together with the
+// per-shard versions that snapshot was cut at. Both slices are read-only
+// views shared with every other reader. Equal version lists from one
+// sketch mean equal bins, so the pair is a cheap change check for
+// callers that ship the bins elsewhere; on a quiescent sketch the call
+// takes no locks and allocates nothing.
+func (s *ShardedSketch) SnapshotBins() ([]Bin, []uint64) {
+	c := s.snapshot()
+	return c.bins, c.versions
+}
+
 // Snapshot merges the shards into one weighted sketch of m bins (defaults
 // to the sharded sketch's total bin budget when m ≤ 0) for top-k queries,
 // serialization or further merging, reducing with Pairwise when m is

@@ -175,6 +175,11 @@ func (s *Sketch) Capacity() int { return s.core.Capacity() }
 // Rows returns the number of rows processed.
 func (s *Sketch) Rows() int64 { return s.core.Rows() }
 
+// Version returns a counter that advances on every mutation, so an
+// unchanged version guarantees unchanged bins. Like the sketch itself it
+// is not synchronized: read it under the lock that guards updates.
+func (s *Sketch) Version() uint64 { return s.core.Version() }
+
 // Total returns the total mass in the sketch (== Rows for unit updates).
 func (s *Sketch) Total() float64 { return s.core.Total() }
 
@@ -265,6 +270,10 @@ func (s *WeightedSketch) Capacity() int { return s.core.Capacity() }
 
 // Total returns the total weight ingested.
 func (s *WeightedSketch) Total() float64 { return s.core.Total() }
+
+// Version returns a counter that advances on every mutation; see
+// (*Sketch).Version.
+func (s *WeightedSketch) Version() uint64 { return s.core.Version() }
 
 // MinCount returns the smallest bin count.
 func (s *WeightedSketch) MinCount() float64 { return s.core.MinCount() }
