@@ -256,3 +256,44 @@ func TestUpdateBatchMatchesUpdate(t *testing.T) {
 		}
 	}
 }
+
+// TestSubsetSumPrefixZeroAllocs: prefix sums on a warm sketch, unit or
+// sharded, allocate nothing — each shard walks its own slabs under its
+// lock, and the per-shard combination stays on the stack.
+func TestSubsetSumPrefixZeroAllocs(t *testing.T) {
+	rows := dimLabelStream(1 << 14)
+	sk := uss.New(512, uss.WithSeed(18))
+	sk.UpdateAll(rows)
+	sh := uss.NewSharded(8, 128, uss.WithSeed(18))
+	sh.UpdateBatch(rows)
+	for _, p := range []string{"country=c1|", "coun", "country=c10|device=d1|ad=a4"} {
+		if avg := testing.AllocsPerRun(100, func() { sk.SubsetSumPrefix(p) }); avg != 0 {
+			t.Errorf("Sketch.SubsetSumPrefix(%q) allocates %v/op, want 0", p, avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() { sh.SubsetSumPrefix(p) }); avg != 0 {
+			t.Errorf("ShardedSketch.SubsetSumPrefix(%q) allocates %v/op, want 0", p, avg)
+		}
+	}
+}
+
+// TestSubsetSumItemsAllocsIndependentOfSketch: an item sum costs one
+// probe per item, so its allocations must not grow with the sketch. A
+// 16-item sum allocates nothing on unit or sharded sketches of either
+// size (the sharded routing scratch is pooled with UpdateBatch's).
+func TestSubsetSumItemsAllocsIndependentOfSketch(t *testing.T) {
+	rows := dimLabelStream(1 << 14)
+	items := rows[:16]
+	for _, bins := range []int{64, 4096} {
+		sk := uss.New(bins, uss.WithSeed(19))
+		sk.UpdateAll(rows)
+		sh := uss.NewSharded(8, bins/8, uss.WithSeed(19))
+		sh.UpdateBatch(rows)
+		sh.SubsetSumItems(items...) // warm the pooled scratch
+		if avg := testing.AllocsPerRun(100, func() { sk.SubsetSumItems(items...) }); avg != 0 {
+			t.Errorf("%d bins: Sketch.SubsetSumItems(16 items) allocates %v/op, want 0", bins, avg)
+		}
+		if avg := testing.AllocsPerRun(100, func() { sh.SubsetSumItems(items...) }); avg != 0 {
+			t.Errorf("%d bins: ShardedSketch.SubsetSumItems(16 items) allocates %v/op, want 0", bins, avg)
+		}
+	}
+}

@@ -5,10 +5,12 @@ package uss_test
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	uss "repro"
+	"repro/internal/workload"
 )
 
 func BenchmarkShardedUpdateParallel(b *testing.B) {
@@ -221,6 +223,61 @@ func BenchmarkShardedTopK(b *testing.B) {
 				b.Fatal("empty TopK")
 			}
 		}
+	})
+}
+
+// BenchmarkShardedSubsetSum times /sum's subset sums at perfbench
+// ingest-saturate's geometry: an 8×1024 sharded sketch filled with 2¹⁹
+// AdStream keys on features 0, 3 and 6 ("0=3|3=41|6=7"). prefix cycles
+// the eight 4-byte first-feature prefixes "0=v|" through the head words;
+// prefix-long takes a prefix past the 8-byte head (label bytes compared
+// on a head match); items sums the 16 heaviest keys by index probes; scan
+// is the predicate scan the prefix sums used to take.
+func BenchmarkShardedSubsetSum(b *testing.B) {
+	ads, err := workload.NewAdStream(workload.DefaultAdConfig(1<<19), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := uss.NewSharded(8, 1024, uss.WithSeed(1))
+	batch := make([]string, 0, 2000)
+	for {
+		im, ok := ads.Next()
+		if ok {
+			batch = append(batch, im.Key(0, 3, 6))
+		}
+		if len(batch) == cap(batch) || !ok && len(batch) > 0 {
+			s.UpdateBatch(batch)
+			batch = batch[:0]
+		}
+		if !ok {
+			break
+		}
+	}
+	var prefixes []string
+	for v := 0; v < 8; v++ {
+		prefixes = append(prefixes, fmt.Sprintf("0=%d|", v))
+	}
+	var heavy []string
+	for _, bin := range s.TopK(16) {
+		heavy = append(heavy, bin.Item)
+	}
+	long := heavy[0][:strings.LastIndexByte(heavy[0], '=')+1] // "0=v|3=w|6="
+	run := func(name string, sum func(i int) uss.Estimate) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if sum(i).Value <= 0 {
+					b.Fatal("empty subset sum")
+				}
+			}
+		})
+	}
+	run("prefix", func(i int) uss.Estimate { return s.SubsetSumPrefix(prefixes[i%8]) })
+	run("prefix-long", func(int) uss.Estimate { return s.SubsetSumPrefix(long) })
+	run("items", func(int) uss.Estimate { return s.SubsetSumItems(heavy...) })
+	run("scan", func(i int) uss.Estimate {
+		p := prefixes[i%8]
+		return s.SubsetSum(func(item string) bool { return strings.HasPrefix(item, p) })
 	})
 }
 

@@ -176,7 +176,7 @@ func runQuery(args []string) error {
 		ran = true
 	}
 	if *prefix != "" {
-		printEst("prefix "+*prefix, sk.SubsetSum(func(s string) bool { return strings.HasPrefix(s, *prefix) }))
+		printEst("prefix "+*prefix, sk.SubsetSumPrefix(*prefix))
 		ran = true
 	}
 	if *contains != "" {

@@ -3,6 +3,7 @@ package uss_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	uss "repro"
@@ -43,8 +44,9 @@ func FuzzSketchUpdate(f *testing.F) {
 // FuzzStreamSummaryOps drives the slab-backed Stream-Summary through
 // arbitrary insert / increment / replace / remove sequences — the full
 // free-list churn surface — validating CheckInvariants (which audits slab
-// accounting, free-list integrity and mass conservation) after every
-// operation, and spot-checking counts against a map model at the end.
+// accounting, free-list integrity, head words and mass conservation)
+// after every operation, and spot-checking counts, prefix sums and item
+// sums against a map model at the end.
 func FuzzStreamSummaryOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 0, 4}, int64(1))
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 3, 3, 3, 2, 2, 2}, int64(2))
@@ -119,6 +121,27 @@ func FuzzStreamSummaryOps(f *testing.F) {
 			if got, ok := s.Count(item); !ok || got != want {
 				t.Fatalf("Count(%q) = %d,%v, want %d", item, got, ok, want)
 			}
+		}
+		for _, p := range []string{"", "n", "r", "n1", "r1", "n10", "n1\x00"} {
+			var want int64
+			var wantHits int
+			for item, c := range model {
+				if strings.HasPrefix(item, p) {
+					want += c
+					wantHits++
+				}
+			}
+			if got, hits := s.PrefixSum(p); got != float64(want) || hits != wantHits {
+				t.Fatalf("PrefixSum(%q) = %v/%d, want %d/%d", p, got, hits, want, wantHits)
+			}
+		}
+		var want int64
+		for _, c := range model {
+			want += c
+		}
+		items := append(append([]string{"absent"}, live...), live...)
+		if got, hits := s.ItemsSum(items); got != float64(want) || hits != len(model) {
+			t.Fatalf("ItemsSum(every live item twice) = %v/%d, want %d/%d", got, hits, want, len(model))
 		}
 	})
 }

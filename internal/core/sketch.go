@@ -311,6 +311,22 @@ func (s *Sketch) SubsetSum(pred func(item string) bool) Estimate {
 	return newEstimate(sum, hits, s.MinCount())
 }
 
+// SubsetSumPrefix is SubsetSum over strings.HasPrefix(item, prefix),
+// bit for bit, answered from the Stream-Summary's per-bin head words
+// instead of a predicate call and a label read per bin.
+func (s *Sketch) SubsetSumPrefix(prefix string) Estimate {
+	sum, hits := s.sum.PrefixSum(prefix)
+	return newEstimate(sum, hits, s.MinCount())
+}
+
+// SubsetSumItems is SubsetSum over the set of listed items, bit for bit,
+// answered with one index probe per item instead of a scan of every bin;
+// an item listed twice counts once.
+func (s *Sketch) SubsetSumItems(items ...string) Estimate {
+	sum, hits := s.sum.ItemsSum(items)
+	return newEstimate(sum, hits, s.MinCount())
+}
+
 // EstimateWithSE returns item's count estimate together with the single-item
 // standard error implied by equation 5 (C_S = 1).
 func (s *Sketch) EstimateWithSE(item string) Estimate {

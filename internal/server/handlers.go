@@ -679,9 +679,14 @@ func toEstimateDTO(e uss.Estimate) estimateDTO {
 	return estimateDTO{Value: e.Value, StdErr: e.StdErr, SampleBins: e.SampleBins, CI95: [2]float64{lo, hi}}
 }
 
-// sumPredicate builds a label predicate from the prefix/suffix/items
-// query parameters (exactly one must be given).
-func sumPredicate(r *http.Request) (func(string) bool, error) {
+// sumSpec is a subset-sum predicate parsed from the prefix/suffix/items
+// query parameters; exactly one form is set.
+type sumSpec struct {
+	prefix, suffix string
+	items          []string // nil unless items= was given
+}
+
+func parseSumSpec(r *http.Request) (sumSpec, error) {
 	q := r.URL.Query()
 	prefix, suffix, items := q.Get("prefix"), q.Get("suffix"), q.Get("items")
 	given := 0
@@ -691,19 +696,52 @@ func sumPredicate(r *http.Request) (func(string) bool, error) {
 		}
 	}
 	if given != 1 {
-		return nil, fmt.Errorf("give exactly one of prefix=, suffix= or items=")
+		return sumSpec{}, fmt.Errorf("give exactly one of prefix=, suffix= or items=")
 	}
+	spec := sumSpec{prefix: prefix, suffix: suffix}
+	if items != "" {
+		spec.items = strings.Split(items, ",")
+	}
+	return spec, nil
+}
+
+// pred returns the spec as a label predicate, for the sums that scan
+// every bin: suffixes, weighted sketches and rollup ranges.
+func (q sumSpec) pred() func(string) bool {
 	switch {
-	case prefix != "":
-		return func(s string) bool { return strings.HasPrefix(s, prefix) }, nil
-	case suffix != "":
-		return func(s string) bool { return strings.HasSuffix(s, suffix) }, nil
+	case q.prefix != "":
+		return func(s string) bool { return strings.HasPrefix(s, q.prefix) }
+	case q.suffix != "":
+		return func(s string) bool { return strings.HasSuffix(s, q.suffix) }
 	default:
-		set := make(map[string]bool)
-		for _, it := range strings.Split(items, ",") {
+		set := make(map[string]bool, len(q.items))
+		for _, it := range q.items {
 			set[it] = true
 		}
-		return func(s string) bool { return set[s] }, nil
+		return func(s string) bool { return set[s] }
+	}
+}
+
+// unitSummer is the subset-sum surface unit and sharded sketches share:
+// the predicate scan plus the prefix and item sums served from the
+// Stream-Summary without reading every label.
+type unitSummer interface {
+	SubsetSum(pred func(string) bool) uss.Estimate
+	SubsetSumPrefix(prefix string) uss.Estimate
+	SubsetSumItems(items ...string) uss.Estimate
+}
+
+// on answers the spec on a unit or sharded sketch: prefixes and item
+// lists take the indexed sums, suffixes the scan. Each form returns the
+// estimate the scan would, bit for bit.
+func (q sumSpec) on(sk unitSummer) uss.Estimate {
+	switch {
+	case q.prefix != "":
+		return sk.SubsetSumPrefix(q.prefix)
+	case q.items != nil:
+		return sk.SubsetSumItems(q.items...)
+	default:
+		return sk.SubsetSum(q.pred())
 	}
 }
 
@@ -712,7 +750,7 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request, gather Gather
 	if !ok {
 		return
 	}
-	pred, err := sumPredicate(r)
+	spec, err := parseSumSpec(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -720,14 +758,14 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request, gather Gather
 	var est uss.Estimate
 	switch e.cfg.Kind {
 	case KindSharded:
-		est = e.sharded.SubsetSum(pred)
+		est = spec.on(e.sharded)
 	case KindUnit:
 		e.mu.Lock()
-		est = e.unit.SubsetSum(pred)
+		est = spec.on(e.unit)
 		e.mu.Unlock()
 	case KindWeighted:
 		e.mu.Lock()
-		est = e.weighted.SubsetSum(pred)
+		est = e.weighted.SubsetSum(spec.pred())
 		e.mu.Unlock()
 	default:
 		writeError(w, http.StatusBadRequest,
@@ -918,13 +956,13 @@ func (s *Server) handleRangeSum(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	pred, err := sumPredicate(r)
+	spec, err := parseSumSpec(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	e.mu.Lock()
-	est, covered := e.rollup.SubsetSumRange(from, to, pred)
+	est, covered := e.rollup.SubsetSumRange(from, to, spec.pred())
 	e.mu.Unlock()
 	if !covered {
 		writeError(w, http.StatusNotFound,

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -558,5 +559,70 @@ func TestQueryCacheKeyDistinguishesSpecs(t *testing.T) {
 	// And again in the opposite order against warm caches.
 	if got := run(two); got != 2 {
 		t.Errorf("repeat in:[us,de] sum = %v, want 2", got)
+	}
+}
+
+// TestSumFormsMatchScan: /sum answers prefixes and item lists on unit and
+// sharded sketches from the Stream-Summary's head words and index, and
+// everything else with the predicate scan. Every form, on every
+// point-read kind, must return exactly the scan's estimate — a repeated
+// item counted once — after enough rows to evict.
+func TestSumFormsMatchScan(t *testing.T) {
+	s, ts := testServer(t)
+	create(t, ts, SketchConfig{Name: "u", Kind: KindUnit, Bins: 8, Seed: 1})
+	create(t, ts, SketchConfig{Name: "sh", Kind: KindSharded, Bins: 4, Shards: 3, Seed: 2})
+	create(t, ts, SketchConfig{Name: "w", Kind: KindWeighted, Bins: 8, Seed: 3})
+	var body strings.Builder
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&body, "country=%s|ad=%d\n", []string{"us", "de", "usa"}[i%3], i*i%17)
+	}
+	for _, name := range []string{"u", "sh", "w"} {
+		resp, err := http.Post(ts.URL+"/v1/sketches/"+name+"/ingest?sync=1", "text/plain", strings.NewReader(body.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	for _, name := range []string{"u", "sh", "w"} {
+		e, ok := s.reg.Get(name)
+		if !ok {
+			t.Fatalf("sketch %q not registered", name)
+		}
+		var top struct {
+			Items []binDTO `json:"items"`
+		}
+		doJSON(t, "GET", ts.URL+"/v1/sketches/"+name+"/topk?k=1", nil, &top)
+		heavy := top.Items[0].Item
+		forms := []struct {
+			query string
+			pred  func(string) bool
+		}{
+			{"prefix=country=us", func(l string) bool { return strings.HasPrefix(l, "country=us") }},
+			{"prefix=country=us%7C", func(l string) bool { return strings.HasPrefix(l, "country=us|") }},
+			{"prefix=c", func(l string) bool { return strings.HasPrefix(l, "c") }},
+			{"suffix=" + url.QueryEscape(heavy[len(heavy)-4:]), func(l string) bool { return strings.HasSuffix(l, heavy[len(heavy)-4:]) }},
+			{"items=" + url.QueryEscape(heavy) + ",absent," + url.QueryEscape(heavy), func(l string) bool { return l == heavy || l == "absent" }},
+		}
+		for _, f := range forms {
+			var want uss.Estimate
+			e.mu.Lock()
+			switch e.cfg.Kind {
+			case KindUnit:
+				want = e.unit.SubsetSum(f.pred)
+			case KindSharded:
+				want = e.sharded.SubsetSum(f.pred)
+			default:
+				want = e.weighted.SubsetSum(f.pred)
+			}
+			e.mu.Unlock()
+			if want.SampleBins == 0 {
+				t.Fatalf("%s ?%s: scan matched no bins; the rows no longer exercise the form", name, f.query)
+			}
+			var got estimateDTO
+			doJSON(t, "GET", ts.URL+"/v1/sketches/"+name+"/sum?"+f.query, nil, &got)
+			if got != toEstimateDTO(want) {
+				t.Errorf("%s ?%s = %+v, scan %+v", name, f.query, got, toEstimateDTO(want))
+			}
+		}
 	}
 }

@@ -23,10 +23,14 @@
 // counts only ever grow by exactly one.
 //
 // Storage layout (the part that differs from the textbook presentation):
-// everything lives in three flat slabs addressed by int32 —
+// everything lives in four flat slabs addressed by int32 —
 //
 //   - nodes:   one (item, bucket, pos) record per bin, with an intrusive
 //     free-list threading vacant slots through the bucket field;
+//   - heads:   parallel to nodes, each label's first 8 bytes packed
+//     big-endian, so a prefix sum tests one word per bin instead of
+//     reading label bytes, and the node records stay 24 bytes for every
+//     other walk;
 //   - perm:    a permutation of the live node indices, grouped by bucket in
 //     descending count order (maximum bucket first), so a bucket's members
 //     are the contiguous range perm[start:end], the minimum bucket is the
@@ -38,8 +42,8 @@
 //     field) when a count empties.
 //
 // Incrementing a bin is a swap to its bucket's boundary plus two range
-// adjustments; no memory is written outside the three slabs and the index
-// map. After the fill phase the ingest path therefore performs zero heap
+// adjustments; no memory is written outside the slabs and the index map.
+// After the fill phase the ingest path therefore performs zero heap
 // allocations per row — there is nothing to allocate: no per-bucket
 // slices, no linked-list cells, just fixed-width slab entries — and the GC
 // never scans interior pointers.
@@ -48,6 +52,7 @@ package streamsummary
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // none marks an absent slab index (the nil of the int32-indexed layout).
@@ -60,6 +65,22 @@ type node struct {
 	item   string
 	bucket int32 // owning bucket slab index; free-list link when vacant
 	pos    int32 // position of this node in perm
+}
+
+// headOf packs the first 8 bytes of s big-endian, zero-padded when s is
+// shorter. Comparing heads under a mask therefore compares label
+// prefixes of up to 8 bytes; the zero padding is ambiguous with NUL
+// bytes, which is why PrefixSum also checks the label length.
+func headOf(s string) uint64 {
+	if len(s) >= 8 {
+		return uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
+			uint64(s[4])<<24 | uint64(s[5])<<16 | uint64(s[6])<<8 | uint64(s[7])
+	}
+	var h uint64
+	for i := 0; i < len(s); i++ {
+		h |= uint64(s[i]) << (56 - 8*i)
+	}
+	return h
 }
 
 // bucket is one distinct counter value: the nodes holding it are
@@ -76,7 +97,8 @@ type bucket struct {
 type Summary struct {
 	index      map[string]int32 // item -> node slab index
 	nodes      []node
-	perm       []int32 // live node indices grouped by bucket, counts descending
+	heads      []uint64 // headOf(nodes[i].item), 0 for a vacant slot
+	perm       []int32  // live node indices grouped by bucket, counts descending
 	buckets    []bucket
 	freeNode   int32 // head of the vacant-node free-list, none when empty
 	freeBucket int32 // head of the vacant-bucket free-list, none when empty
@@ -85,7 +107,7 @@ type Summary struct {
 
 // New returns an empty Summary with capacity hint cap (the expected number of
 // bins; the structure itself does not enforce a maximum size — the sketch
-// layered on top does). All three slabs are pre-sized so a summary that
+// layered on top does). All the slabs are pre-sized so a summary that
 // stays within the hint reaches steady state without any slab growth: the
 // bucket slab gets one extra slot because bump allocates the count+1 bucket
 // before retiring the emptied one.
@@ -96,6 +118,7 @@ func New(cap int) *Summary {
 	return &Summary{
 		index:      make(map[string]int32, cap),
 		nodes:      make([]node, 0, cap),
+		heads:      make([]uint64, 0, cap),
 		perm:       make([]int32, 0, cap),
 		buckets:    make([]bucket, 0, cap+1),
 		freeNode:   none,
@@ -108,9 +131,11 @@ func (s *Summary) allocNode(item string) int32 {
 	if ni := s.freeNode; ni != none {
 		s.freeNode = s.nodes[ni].bucket
 		s.nodes[ni] = node{item: item}
+		s.heads[ni] = headOf(item)
 		return ni
 	}
 	s.nodes = append(s.nodes, node{item: item})
+	s.heads = append(s.heads, headOf(item))
 	return int32(len(s.nodes) - 1)
 }
 
@@ -144,6 +169,7 @@ func (s *Summary) LoadDescending(bins []Bin) error {
 			prev = b.Count
 		}
 		s.nodes = append(s.nodes, node{item: b.Item, bucket: bi, pos: pos})
+		s.heads = append(s.heads, headOf(b.Item))
 		s.perm = append(s.perm, ni)
 		s.buckets[bi].end++
 		s.index[b.Item] = ni
@@ -164,10 +190,11 @@ func (s *Summary) LoadDescending(bins []Bin) error {
 	return nil
 }
 
-// releaseNode pushes a node slot onto the free-list, clearing its item so
-// the slab does not pin the string.
+// releaseNode pushes a node slot onto the free-list, clearing its item (so
+// the slab does not pin the string) and its head.
 func (s *Summary) releaseNode(ni int32) {
 	s.nodes[ni] = node{bucket: s.freeNode}
+	s.heads[ni] = 0
 	s.freeNode = ni
 }
 
@@ -441,6 +468,7 @@ func (s *Summary) ReplaceRandomMin(newItem string, rng IntN) (prevMin int64, evi
 	evicted = n.item
 	delete(s.index, evicted)
 	n.item = newItem
+	s.heads[ni] = headOf(newItem)
 	s.index[newItem] = ni
 	s.bump(ni)
 	return prevMin, evicted, true
@@ -474,14 +502,85 @@ func (s *Summary) Each(fn func(item string, count int64) bool) {
 	}
 }
 
+// PrefixSum returns the summed count and the number of bins whose label
+// begins with prefix — the subset sum of strings.HasPrefix without
+// reading every label. It walks perm once and tests each bin's head word
+// under a mask of the prefix's first 8 bytes; only on a head match does
+// it read the node, for the label length (the head's zero padding cannot
+// tell a short label from one with NUL bytes) and, for prefixes longer
+// than 8 bytes, the label bytes past the head. Counts are added as
+// float64 in the order Each visits bins, so the sum is bit-identical to
+// a predicate scan's.
+func (s *Summary) PrefixSum(prefix string) (sum float64, hits int) {
+	n := len(prefix)
+	want := headOf(prefix)
+	mask := ^uint64(0)
+	if n < 8 {
+		mask = ^(mask >> (8 * n))
+	}
+	tail := ""
+	if n > 8 {
+		tail = prefix[8:]
+	}
+	perm, heads, nodes := s.perm, s.heads, s.nodes
+	for i := len(perm) - 1; i >= 0; i-- {
+		ni := perm[i]
+		if heads[ni]&mask != want {
+			continue
+		}
+		nd := &nodes[ni]
+		if len(nd.item) < n || tail != "" && nd.item[8:n] != tail {
+			continue
+		}
+		sum += float64(s.buckets[nd.bucket].count)
+		hits++
+	}
+	return sum, hits
+}
+
+// ItemsSum returns the summed count and the number of bins labelled by
+// one of items, counting each bin once however often its label is
+// listed. It costs one index probe per listed item, not a walk of the
+// bins, and allocates nothing for up to 32 matched items. Like PrefixSum
+// it adds counts in Each's order, so the sum is bit-identical to a
+// predicate scan's.
+func (s *Summary) ItemsSum(items []string) (sum float64, hits int) {
+	var buf [32]int32
+	found := buf[:0]
+	for _, it := range items {
+		if ni, ok := s.index[it]; ok {
+			found = append(found, s.nodes[ni].pos)
+		}
+	}
+	// Each visits perm positions in descending order. Sorting the matched
+	// positions gives that order and puts a repeated label's (equal)
+	// positions side by side.
+	slices.Sort(found)
+	prev := none
+	for i := len(found) - 1; i >= 0; i-- {
+		p := found[i]
+		if p == prev {
+			continue
+		}
+		prev = p
+		sum += float64(s.buckets[s.nodes[s.perm[p]].bucket].count)
+		hits++
+	}
+	return sum, hits
+}
+
 // CheckInvariants validates internal consistency: the perm array is a
 // permutation of the live nodes, partitioned into contiguous bucket ranges
 // with strictly ascending counts; positions, back-references, index and
-// total mass agree; and every slab slot is either live or on exactly one
-// free-list, with free slots properly scrubbed. It is exported for tests
+// total mass agree; every live node's head word matches its label; and
+// every slab slot is either live or on exactly one free-list, with free
+// slots properly scrubbed (no item, zero head). It is exported for tests
 // and returns a descriptive error on the first violation found.
 func (s *Summary) CheckInvariants() error {
 	L := int32(len(s.perm))
+	if len(s.heads) != len(s.nodes) {
+		return fmt.Errorf("head slab holds %d slots, node slab %d", len(s.heads), len(s.nodes))
+	}
 	if int(L) != len(s.index) {
 		return fmt.Errorf("perm holds %d nodes, index holds %d", L, len(s.index))
 	}
@@ -507,6 +606,9 @@ func (s *Summary) CheckInvariants() error {
 		}
 		if got, ok := s.index[n.item]; !ok || got != ni {
 			return fmt.Errorf("index disagrees for %q", n.item)
+		}
+		if want := headOf(n.item); s.heads[ni] != want {
+			return fmt.Errorf("node %q has head %#016x, want %#016x", n.item, s.heads[ni], want)
 		}
 		bi := n.bucket
 		if bi < 0 || int(bi) >= len(s.buckets) {
@@ -568,6 +670,9 @@ func (s *Summary) CheckInvariants() error {
 		seenNode[ni] = true
 		if s.nodes[ni].item != "" {
 			return fmt.Errorf("free node %d still pins item %q", ni, s.nodes[ni].item)
+		}
+		if s.heads[ni] != 0 {
+			return fmt.Errorf("free node %d keeps head %#016x", ni, s.heads[ni])
 		}
 		freeNodes++
 	}

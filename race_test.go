@@ -58,8 +58,11 @@ func TestRaceConcurrentIngestAndCachedReads(t *testing.T) {
 	}()
 
 	// Readers: cached TopK, the locked convenience RunQuery, a private
-	// prepared engine, and Snapshot (+ a mutation of the returned copy,
-	// which must be independent of the shared cache).
+	// prepared engine, Snapshot (+ a mutation of the returned copy,
+	// which must be independent of the shared cache), and the prefix and
+	// item sums, which read every shard under its lock (the item sum
+	// through the pooled routing scratch UpdateBatch also uses).
+	heavy := []string{rows[0], rows[1], rows[2], rows[0], "country=zz|device=zz"}
 	readers := []func(){
 		func() {
 			if top := s.TopK(8); len(top) == 0 {
@@ -86,6 +89,16 @@ func TestRaceConcurrentIngestAndCachedReads(t *testing.T) {
 				t.Error("empty snapshot during concurrent ingest")
 			}
 			snap.Update("country=zz|device=zz", 1)
+		},
+		func() {
+			if est := s.SubsetSumPrefix("country=c1|"); est.Value <= 0 || est.SampleBins == 0 {
+				t.Errorf("SubsetSumPrefix during concurrent ingest = %+v", est)
+			}
+		},
+		func() {
+			if est := s.SubsetSumItems(heavy...); est.Value <= 0 || est.SampleBins == 0 {
+				t.Errorf("SubsetSumItems during concurrent ingest = %+v", est)
+			}
 		},
 	}
 	for _, read := range readers {

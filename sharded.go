@@ -99,11 +99,14 @@ func (s *ShardedSketch) Update(item string) {
 // the index permutation the rows are regrouped through (indices rather
 // than string headers: a quarter of the write traffic, and nothing that
 // pins caller memory between batches). Pooled so concurrent batches each
-// get their own scratch without per-batch allocation.
+// get their own scratch without per-batch allocation. SubsetSumItems
+// groups its items the same way and gathers them into items, which it
+// clears before returning the scratch to the pool.
 type batchScratch struct {
 	shardOf []int32
 	cursor  []int32
 	idx     []int32
+	items   []string
 }
 
 var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -124,13 +127,42 @@ func (sc *batchScratch) grow(rows, shards int) {
 	}
 }
 
+// route groups the row indices of items by destination shard: every row
+// is hashed once, and a stable counting sort scatters the indices into
+// contiguous per-shard segments of sc.idx, so each shard sees its rows in
+// original order. Afterwards sc.cursor[sh] is the end of shard sh's
+// segment, which starts where shard sh-1's ends.
+func (sc *batchScratch) route(s *ShardedSketch, items []string) {
+	sc.grow(len(items), len(s.shards))
+	// Pass 1: hash every row once, counting rows per shard.
+	for i, it := range items {
+		sh := int32(s.shardIndex(it))
+		sc.shardOf[i] = sh
+		sc.cursor[sh]++
+	}
+	// Turn counts into starting offsets of each shard's segment.
+	var off int32
+	for sh := range sc.cursor {
+		n := sc.cursor[sh]
+		sc.cursor[sh] = off
+		off += n
+	}
+	// Pass 2: stable scatter of row indices into the segments, advancing
+	// each cursor to the end of its shard's segment.
+	for i := range items {
+		sh := sc.shardOf[i]
+		sc.idx[sc.cursor[sh]] = int32(i)
+		sc.cursor[sh]++
+	}
+}
+
 // UpdateBatch ingests a batch of rows. Rows are hashed once, regrouped by
-// destination shard (a stable counting sort, so each shard sees its rows
-// in original stream order), and each shard's rows are applied through the
-// same batched core path as (*Sketch).UpdateAll under a single
-// lock/unlock per shard per batch — instead of one mutex round-trip per
-// row. Safe for concurrent use with Update, UpdateBatch and all queries;
-// allocation-free in steady state.
+// destination shard (route: a stable counting sort, so each shard sees
+// its rows in original stream order), and each shard's rows are applied
+// through the same batched core path as (*Sketch).UpdateAll under a
+// single lock/unlock per shard per batch — instead of one mutex
+// round-trip per row. Safe for concurrent use with Update, UpdateBatch
+// and all queries; allocation-free in steady state.
 //
 // The resulting sketch state is distributionally identical to calling
 // Update row by row: an item's rows all land in one shard, and each shard
@@ -149,30 +181,9 @@ func (s *ShardedSketch) UpdateBatch(items []string) {
 		return
 	}
 	sc := batchPool.Get().(*batchScratch)
-	sc.grow(len(items), ns)
-	// Pass 1: hash every row once, counting rows per shard.
-	for i, it := range items {
-		sh := int32(s.shardIndex(it))
-		sc.shardOf[i] = sh
-		sc.cursor[sh]++
-	}
-	// Turn counts into starting offsets of each shard's segment.
-	var off int32
-	for sh := range sc.cursor {
-		n := sc.cursor[sh]
-		sc.cursor[sh] = off
-		off += n
-	}
-	// Pass 2: stable scatter of row indices into contiguous per-shard
-	// segments. After the pass each cursor has advanced to the end of its
-	// shard's segment.
-	for i := range items {
-		sh := sc.shardOf[i]
-		sc.idx[sc.cursor[sh]] = int32(i)
-		sc.cursor[sh]++
-	}
-	// Pass 3: one lock round-trip per non-empty shard, each segment fed
-	// through the same per-row core loop as (*Sketch).UpdateAll.
+	sc.route(s, items)
+	// One lock round-trip per non-empty shard, each segment fed through
+	// the same per-row core loop as (*Sketch).UpdateAll.
 	start := int32(0)
 	for sh := 0; sh < ns; sh++ {
 		end := sc.cursor[sh]
@@ -233,11 +244,55 @@ func (s *ShardedSketch) Estimate(item string) float64 {
 // independent unbiased estimates of the per-shard truths, so their sum is
 // unbiased for the total; the standard errors combine in quadrature.
 func (s *ShardedSketch) SubsetSum(pred func(string) bool) Estimate {
+	return s.sumShards(func(_ int, sk *Sketch) Estimate { return sk.SubsetSum(pred) })
+}
+
+// SubsetSumPrefix estimates the number of rows whose item begins with
+// prefix: SubsetSum with a strings.HasPrefix predicate, bit for bit, with
+// each shard answering from its bins' head words (see
+// (*Sketch).SubsetSumPrefix). Allocation-free.
+func (s *ShardedSketch) SubsetSumPrefix(prefix string) Estimate {
+	return s.sumShards(func(_ int, sk *Sketch) Estimate { return sk.SubsetSumPrefix(prefix) })
+}
+
+// SubsetSumItems estimates the number of rows whose item is one of items
+// (a set: repeats count once): SubsetSum with a set-membership predicate,
+// bit for bit. Items are routed to their shards as UpdateBatch routes
+// rows, so each item costs one hash and one index probe in its own shard;
+// every shard still contributes its variance term, as in SubsetSum.
+func (s *ShardedSketch) SubsetSumItems(items ...string) Estimate {
+	sc := batchPool.Get().(*batchScratch)
+	sc.route(s, items)
+	if cap(sc.items) < len(items) {
+		sc.items = make([]string, len(items))
+	}
+	grouped := sc.items[:len(items)]
+	for k, j := range sc.idx {
+		grouped[k] = items[j]
+	}
+	var start int32
+	est := s.sumShards(func(i int, sk *Sketch) Estimate {
+		end := sc.cursor[i]
+		e := sk.SubsetSumItems(grouped[start:end]...)
+		start = end
+		return e
+	})
+	clear(grouped) // the pooled scratch must not pin the caller's strings
+	batchPool.Put(sc)
+	return est
+}
+
+// sumShards runs one subset sum per shard, in shard order and under each
+// shard's lock, and combines the per-shard estimates: values and sample
+// bins add, variances add, so standard errors combine in quadrature.
+// Every SubsetSum form goes through here, which keeps them bit-identical
+// to one another.
+func (s *ShardedSketch) sumShards(sum func(i int, sk *Sketch) Estimate) Estimate {
 	var value, variance float64
 	var bins int
 	for i := range s.shards {
 		s.shards[i].mu.Lock()
-		e := s.shards[i].sk.SubsetSum(pred)
+		e := sum(i, s.shards[i].sk)
 		s.shards[i].mu.Unlock()
 		value += e.Value
 		variance += e.Variance()

@@ -150,6 +150,16 @@ func (s *Sketch) EstimateWithSE(item string) Estimate { return s.core.EstimateWi
 // SubsetSum estimates the number of rows whose item satisfies pred.
 func (s *Sketch) SubsetSum(pred func(item string) bool) Estimate { return s.core.SubsetSum(pred) }
 
+// SubsetSumPrefix estimates the number of rows whose item begins with
+// prefix. It equals SubsetSum with a strings.HasPrefix predicate, bit for
+// bit, but tests an 8-byte head word per bin instead of reading labels.
+func (s *Sketch) SubsetSumPrefix(prefix string) Estimate { return s.core.SubsetSumPrefix(prefix) }
+
+// SubsetSumItems estimates the number of rows whose item is one of items
+// (a set: repeats count once). It equals SubsetSum with a set-membership
+// predicate, bit for bit, at one index probe per item instead of a scan.
+func (s *Sketch) SubsetSumItems(items ...string) Estimate { return s.core.SubsetSumItems(items...) }
+
 // Contains reports whether item currently labels a bin.
 func (s *Sketch) Contains(item string) bool { return s.core.Contains(item) }
 
