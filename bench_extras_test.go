@@ -165,9 +165,12 @@ func BenchmarkQueryGroupBy(b *testing.B) {
 	}
 }
 
-// BenchmarkPreparedQuery is the amortized read path: index built once,
-// query compiled once, every iteration pure columnar evaluation
-// (0 allocs/op, pinned by TestPreparedQueryZeroAllocs).
+// BenchmarkPreparedQuery is the amortized read path on an unchanged
+// sketch: index built once, query compiled once, and after the first run
+// every iteration is a memo hit — a version check returning the groups
+// the last evaluation sorted (0 allocs/op, pinned by
+// TestPreparedQueryZeroAllocs). Before the memo it timed the columnar
+// scan; internal/labelidx's BenchmarkProgramRun times that scan now.
 func BenchmarkPreparedQuery(b *testing.B) {
 	sk := uss.New(4096, uss.WithSeed(6))
 	for i := 0; i < 1<<17; i++ {

@@ -382,6 +382,50 @@ func TestKillDashNineRecovery(t *testing.T) {
 	}
 }
 
+// TestKillDashNineAfterRejectedWeight: a text row weighted NaN must be a
+// 400 that never reaches the WAL. Logged, it is a record recovery cannot
+// decode, and replay stops there, so a batch acknowledged after it would
+// vanish in the next crash. Here the acknowledged batch survives kill -9.
+func TestKillDashNineAfterRejectedWeight(t *testing.T) {
+	bin := buildUssd(t)
+	dataDir := filepath.Join(t.TempDir(), "data")
+	args := []string{"-data-dir", dataDir, "-fsync", "always", "-checkpoint-interval", "0",
+		"-create", `{"name":"w","kind":"weighted","bins":64,"seed":1}`,
+		"-create", `{"name":"u","kind":"unit","bins":64,"seed":2}`,
+	}
+	cmd, base := startUssd(t, bin, args...)
+	defer cmd.Process.Kill() // a failure before the kill below must not leak the process
+	resp, err := http.Post(base+"/v1/sketches/w/ingest?sync=1", "text/plain", strings.NewReader("a\tNaN\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("NaN weight: status %d, want 400", resp.StatusCode)
+	}
+	mustPost(t, base+"/v1/sketches/u/ingest?sync=1", "text/plain", []byte("x\nx\ny\n"))
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Wait()
+
+	cmd2, base2 := startUssd(t, bin, args...)
+	defer func() {
+		cmd2.Process.Signal(syscall.SIGTERM)
+		cmd2.Wait()
+	}()
+	var info struct {
+		Rows  int64   `json:"rows"`
+		Total float64 `json:"total"`
+	}
+	if err := json.Unmarshal(mustGet(t, base2+"/v1/sketches/u"), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Rows != 3 || info.Total != 3 {
+		t.Fatalf("recovered u rows=%d total=%v, want the acknowledged 3", info.Rows, info.Total)
+	}
+}
+
 // TestKillDashNineRecoveryGroupCommit is the same SIGKILL scenario under
 // group commit: `-fsync interval -group-commit` amortizes one fsync over
 // many appends but still withholds every ack until a covering fsync ran,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/labelidx"
 )
 
 // engineRows builds a deterministic 3-dim stream with an overflowing
@@ -152,5 +153,113 @@ func TestPreparedSpecIsolation(t *testing.T) {
 	got, _, _ := p.Run()
 	if len(got) != 1 || got[0].Sum.SampleBins != 1 || got[0].Sum.Value != 1 {
 		t.Fatalf("spec mutated after Prepare leaked: %+v", got)
+	}
+}
+
+// plainBinner hides a sketch's Version, so an engine over it cannot tell
+// whether the sketch moved.
+type plainBinner struct{ s *core.Sketch }
+
+func (b plainBinner) Bins() []core.Bin  { return b.s.Bins() }
+func (b plainBinner) MinCount() float64 { return b.s.MinCount() }
+
+// swapSnapshotter is a Snapshotter whose snapshot (bins plus a fresh
+// index) is replaced by hand, as a sharded sketch's is when a shard moves.
+type swapSnapshotter struct {
+	bins []core.Bin
+	idx  *labelidx.Index
+}
+
+func (s *swapSnapshotter) set(bins []core.Bin) { s.bins, s.idx = bins, labelidx.New(bins) }
+
+func (s *swapSnapshotter) Bins() []core.Bin  { return s.bins }
+func (s *swapSnapshotter) MinCount() float64 { return 0 }
+func (s *swapSnapshotter) QuerySnapshot() ([]core.Bin, *labelidx.Index, float64) {
+	return s.bins, s.idx, 0
+}
+
+// TestPreparedMemo: a Prepared answers an unchanged source from its last
+// evaluation and evaluates again once the engine's generation moves — on
+// a Version move (unit, weighted), a new snapshot (sharded), and on every
+// call for a source that cannot say whether it moved.
+func TestPreparedMemo(t *testing.T) {
+	const sentinel = -42
+	q := Query{GroupBy: []string{"k"}}
+	unit := core.New(64, core.Unbiased, rand.New(rand.NewSource(1)))
+	weighted := core.NewWeighted(64, rand.New(rand.NewSource(2)))
+	snap := &swapSnapshotter{}
+	snap.set([]core.Bin{{Item: "k=a", Count: 1}})
+	plain := core.New(64, core.Unbiased, rand.New(rand.NewSource(3)))
+	unit.Update("k=a")
+	weighted.Update("k=a", 1)
+	plain.Update("k=a")
+	cases := []struct {
+		name  string
+		src   Binner
+		write func()
+		memo  bool
+	}{
+		{"unit", unit, func() { unit.Update("k=a") }, true},
+		{"weighted", weighted, func() { weighted.Update("k=a", 1) }, true},
+		{"sharded", snap, func() { snap.set([]core.Bin{{Item: "k=a", Count: 2}}) }, true},
+		{"plain", plainBinner{plain}, func() { plain.Update("k=a") }, false},
+	}
+	for _, c := range cases {
+		p := NewEngine(c.src).Prepare(q)
+		got, _, _ := p.Run()
+		if len(got) != 1 || got[0].Sum.Value != 1 {
+			t.Fatalf("%s: first run %+v", c.name, got)
+		}
+		got[0].Sum.Value = sentinel // visible only if the next Run is a memo hit
+		got, _, _ = p.Run()
+		if hit := got[0].Sum.Value == sentinel; hit != c.memo {
+			t.Fatalf("%s: unchanged source, memo hit %v, want %v", c.name, hit, c.memo)
+		}
+		c.write()
+		if got, _, _ = p.Run(); len(got) != 1 || got[0].Sum.Value != 2 {
+			t.Fatalf("%s: after a write %+v, want the new sum 2", c.name, got)
+		}
+	}
+}
+
+// TestPreparedMemoPerQuery: two prepared queries on one engine keep their
+// own memos. Evaluating one after a write moves the engine's index; the
+// other must still see that write rather than its own stale answer.
+func TestPreparedMemoPerQuery(t *testing.T) {
+	sk := core.New(64, core.Unbiased, rand.New(rand.NewSource(4)))
+	sk.Update("k=a|j=x")
+	eng := NewEngine(sk)
+	a := eng.Prepare(Query{GroupBy: []string{"k"}})
+	b := eng.Prepare(Query{GroupBy: []string{"j"}})
+	for _, p := range []*Prepared{a, b} {
+		if got, _, _ := p.Run(); len(got) != 1 || got[0].Sum.Value != 1 {
+			t.Fatalf("first run %+v", got)
+		}
+	}
+	sk.Update("k=a|j=x")
+	if got, _, _ := a.Run(); got[0].Sum.Value != 2 {
+		t.Fatalf("a after a write: %+v", got)
+	}
+	if got, _, _ := b.Run(); got[0].Sum.Value != 2 {
+		t.Fatalf("b after a write, evaluated after a: %+v (stale memo)", got)
+	}
+}
+
+// TestKeyPairs: evaluator groups carry their key as pairs sorted by
+// dimension, duplicate group-by dimensions collapsed; hand-built groups
+// sort their Key map; the global group has none.
+func TestKeyPairs(t *testing.T) {
+	sk := core.New(64, core.Unbiased, rand.New(rand.NewSource(5)))
+	sk.Update("b=2|a=1|c=3")
+	got, _, _ := NewEngine(sk).Prepare(Query{GroupBy: []string{"c", "a", "c"}}).Run()
+	want := []KeyPair{{"a", "1"}, {"c", "3"}}
+	if len(got) != 1 || !reflect.DeepEqual(got[0].KeyPairs(), want) {
+		t.Fatalf("prepared KeyPairs %+v, want %+v", got, want)
+	}
+	if kp := (Group{Key: map[string]string{"c": "3", "a": "1"}}).KeyPairs(); !reflect.DeepEqual(kp, want) {
+		t.Fatalf("hand-built KeyPairs %+v, want %+v", kp, want)
+	}
+	if kp := (Group{}).KeyPairs(); kp != nil {
+		t.Fatalf("global group KeyPairs %+v, want nil", kp)
 	}
 }

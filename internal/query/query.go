@@ -17,16 +17,18 @@
 // a dictionary-encoded index (internal/labelidx) and revalidates it
 // against the sketch's version counter, so filters run as integer
 // comparisons and group keys pack into a uint64. A Prepared query reuses
-// its compiled program and output buffers across runs — repeated
-// evaluation against an unchanged sketch allocates nothing.
+// its compiled program and output buffers across runs, and keeps its
+// last answer until the engine's index moves: a repeated evaluation
+// against an unchanged sketch re-scans nothing and allocates nothing.
 //
 // Ownership: an Engine (and every Prepared compiled from it) is a
 // single-goroutine owner of its caches and scratch; concurrent use needs
 // one engine per goroutine (the underlying index is immutable and shared
-// safely). Run results — the group slice and each Group's Key map — are
-// engine-owned buffers reused by the next run on that engine: callers
-// that retain results across runs, or hand them across an API boundary,
-// must deep-copy them (uss.RunQuery does exactly that).
+// safely). Run results — the group slice, each Group's Key map and its
+// KeyPairs — are engine-owned buffers reused by the next run on that
+// engine: callers must not modify them, and callers that retain results
+// across runs, or hand them across an API boundary, must deep-copy them
+// (uss.RunQuery does exactly that).
 package query
 
 import (
@@ -101,10 +103,33 @@ type Group struct {
 	// Sum is the estimated total with its standard error.
 	Sum core.Estimate
 
-	// ks is the pre-rendered KeyString (dimensions in sorted order),
-	// filled in by the evaluator so KeyString and result ordering are
-	// O(1) per call instead of re-sorting dimensions each time.
-	ks string
+	// ks is the pre-rendered KeyString (dimensions in sorted order) and
+	// pairs the same key as sorted (dim, value) pairs, both filled in by
+	// the columnar evaluator so KeyString, KeyPairs and result ordering
+	// are O(1) per call instead of re-sorting dimensions each time.
+	ks    string
+	pairs []KeyPair
+}
+
+// KeyPair is one dimension of a group key.
+type KeyPair struct {
+	Dim, Value string
+}
+
+// KeyPairs returns the group key as (dim, value) pairs in dimension
+// order, the order KeyString renders. Groups from a Prepared query share
+// one cached slice per distinct group, which the caller must not modify;
+// other groups build it from the Key map.
+func (g Group) KeyPairs() []KeyPair {
+	if g.pairs != nil || len(g.Key) == 0 {
+		return g.pairs
+	}
+	pairs := make([]KeyPair, 0, len(g.Key))
+	for d, v := range g.Key {
+		pairs = append(pairs, KeyPair{d, v})
+	}
+	slices.SortFunc(pairs, func(a, b KeyPair) int { return strings.Compare(a.Dim, b.Dim) })
+	return pairs
 }
 
 // KeyString renders the group key deterministically ("country=us|device=ios",
@@ -307,20 +332,26 @@ type Prepared struct {
 	cache     map[uint64]groupEntry
 	out       []Group
 	sb        []byte
+
+	// evaluated reports that out holds the answer at gen. compile, run
+	// exactly when the engine's generation moves, clears it.
+	evaluated bool
 }
 
-// groupEntry is the per-distinct-group render cache: the Key map and the
-// sorted-order key string are built once per group, then reused by every
-// subsequent Run.
+// groupEntry is the per-distinct-group render cache: the Key map, the
+// sorted-order key string and the sorted key pairs are built once per
+// group, then reused by every subsequent Run.
 type groupEntry struct {
-	key map[string]string
-	ks  string
+	key   map[string]string
+	ks    string
+	pairs []KeyPair
 }
 
 // compile (re)compiles the prepared query against the engine's current
 // index and resets caches that depend on the old dictionaries.
 func (p *Prepared) compile() {
 	p.gen = p.e.gen
+	p.evaluated = false
 	p.cache = make(map[uint64]groupEntry)
 	var filters []labelidx.Filter
 	if len(p.q.Where) > 0 {
@@ -344,6 +375,11 @@ func (p *Prepared) compile() {
 // estimate, ties broken by KeyString. The returned slice and its Key maps
 // are reused across Runs of this Prepared; they are valid until the next
 // Run.
+//
+// The answer is memoized per engine generation: while the index stands
+// still (no new sharded snapshot, no Version move, always moving for a
+// plain Binner) Run returns the groups it last computed without scanning
+// or sorting again. The map fallback is re-evaluated on every call.
 func (p *Prepared) Run() ([]Group, int, error) {
 	p.e.ensure()
 	if p.gen != p.e.gen {
@@ -352,6 +388,18 @@ func (p *Prepared) Run() ([]Group, int, error) {
 	if p.fallback {
 		return runMaps(p.e.evalBins(), p.e.evalMinCount(), p.q, p.e.idx.Skipped())
 	}
+	if !p.evaluated {
+		p.evaluate()
+	}
+	if len(p.out) == 0 {
+		return nil, p.e.idx.Skipped(), nil
+	}
+	return p.out, p.e.idx.Skipped(), nil
+}
+
+// evaluate scans the index with the compiled program and leaves the
+// sorted groups in p.out.
+func (p *Prepared) evaluate() {
 	aggs := p.prog.Run()
 	nmin := p.e.evalMinCount()
 	out := p.out[:0]
@@ -363,8 +411,9 @@ func (p *Prepared) Run() ([]Group, int, error) {
 			p.cache[a.Key] = ent
 		}
 		out = append(out, Group{
-			Key: ent.key,
-			ks:  ent.ks,
+			Key:   ent.key,
+			ks:    ent.ks,
+			pairs: ent.pairs,
 			Sum: core.Estimate{
 				Value:      a.Sum,
 				StdErr:     nmin * math.Sqrt(float64(a.Hits)),
@@ -374,10 +423,7 @@ func (p *Prepared) Run() ([]Group, int, error) {
 	}
 	sortGroups(out)
 	p.out = out
-	if len(out) == 0 {
-		return nil, p.e.idx.Skipped(), nil
-	}
-	return out, p.e.idx.Skipped(), nil
+	p.evaluated = true
 }
 
 // evalMinCount and evalBins return the state to evaluate against: the
@@ -398,8 +444,9 @@ func (e *Engine) evalBins() []core.Bin {
 	return e.src.Bins()
 }
 
-// newEntry materializes the Key map and sorted-order key string for one
-// packed group key — once per distinct group, cached thereafter.
+// newEntry materializes the Key map, sorted key pairs and sorted-order
+// key string for one packed group key — once per distinct group, cached
+// thereafter.
 func (p *Prepared) newEntry(key uint64) groupEntry {
 	if len(p.q.GroupBy) == 0 {
 		return groupEntry{ks: "*"}
@@ -408,18 +455,20 @@ func (p *Prepared) newEntry(key uint64) groupEntry {
 	for gi, dim := range p.q.GroupBy {
 		m[dim] = p.prog.GroupValue(key, gi)
 	}
+	pairs := make([]KeyPair, len(p.renderIdx))
 	buf := p.sb[:0]
 	for i, gi := range p.renderIdx {
 		if i > 0 {
 			buf = append(buf, '|')
 		}
 		dim := p.q.GroupBy[gi]
+		pairs[i] = KeyPair{dim, m[dim]}
 		buf = append(buf, dim...)
 		buf = append(buf, '=')
 		buf = append(buf, m[dim]...)
 	}
 	p.sb = buf
-	return groupEntry{key: m, ks: string(buf)}
+	return groupEntry{key: m, ks: string(buf), pairs: pairs}
 }
 
 // sortGroups orders results by descending estimate, ties by key string.

@@ -355,3 +355,38 @@ func TestCreateSketchDurable(t *testing.T) {
 		t.Fatalf("create over recovered sketch: %v, want ErrExists", err)
 	}
 }
+
+// TestIngestRejectsNonFiniteWeights: strconv.ParseFloat reads NaN and
+// Inf in any of their spellings, and neither is a weight. A text row
+// carrying one is a 400 on every ingest path — inline, queued, and
+// durable with or without ?sync — and on a durable server nothing
+// reaches the log, so the batch cannot stall recovery.
+func TestIngestRejectsNonFiniteWeights(t *testing.T) {
+	_, mem := testServer(t)
+	dir := t.TempDir()
+	s, dur := durableServer(t, dir)
+	defer shutdown(t, s, dur)
+	for _, ts := range []*httptest.Server{mem, dur} {
+		create(t, ts, SketchConfig{Name: "w", Kind: KindWeighted, Bins: 16, Seed: 1})
+	}
+	for _, weight := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "infinity"} {
+		for _, path := range []struct {
+			ts    *httptest.Server
+			query string
+		}{{mem, "?sync=1"}, {mem, ""}, {dur, "?sync=1"}, {dur, ""}} {
+			appends := s.dur.st.Metrics().Appends.Load()
+			resp := postText(t, path.ts.URL+"/v1/sketches/w/ingest"+path.query, "a\t1\nb\t"+weight+"\n")
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("weight %q via %s%s: status %d, want 400", weight, path.ts.URL, path.query, resp.StatusCode)
+			}
+			if got := s.dur.st.Metrics().Appends.Load(); got != appends {
+				t.Errorf("weight %q via %s%s: WAL appends %d → %d", weight, path.ts.URL, path.query, appends, got)
+			}
+		}
+	}
+	for _, ts := range []*httptest.Server{mem, dur} {
+		if info := doInfo(t, ts, "w"); info.Rows != 0 || info.Total != 0 {
+			t.Errorf("%s: rejected batches left rows %d total %v", ts.URL, info.Rows, info.Total)
+		}
+	}
+}

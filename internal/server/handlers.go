@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"net/http"
 	"strconv"
 	"strings"
@@ -15,11 +14,16 @@ import (
 	"repro/internal/store"
 )
 
-// writeJSON serializes v with a status code.
+// writeJSON serializes v with a status code. v is encoded before the
+// status goes out, so a value encoding/json refuses (a non-finite float)
+// answers 500 naming the failure rather than a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "encode response: " + err.Error()})
+	}
+	writeBody(w, code, append(body, '\n'))
 }
 
 // writeError reports a failure as {"error": ...}.
@@ -789,43 +793,34 @@ type queryRequest struct {
 	GroupBy []string `json:"group_by"`
 }
 
-// groupDTO is one result row of a template query.
-type groupDTO struct {
-	Key        map[string]string `json:"key,omitempty"`
-	KeyString  string            `json:"key_string"`
-	Value      float64           `json:"value"`
-	StdErr     float64           `json:"std_err"`
-	SampleBins int               `json:"sample_bins"`
-}
-
-// queryCacheKey renders spec unambiguously: every dim and value is
+// appendQueryCacheKey renders spec unambiguously: every dim and value is
 // quoted (escaping the separators), so distinct specs can never collide
 // the way a fmt %v rendering would (e.g. In:["us","de"] vs In:["us de"]).
-func queryCacheKey(q uss.QuerySpec) string {
-	var sb strings.Builder
+func appendQueryCacheKey(b []byte, q uss.QuerySpec) []byte {
 	for _, f := range q.Where {
-		sb.WriteString(strconv.Quote(f.Dim))
+		b = strconv.AppendQuote(b, f.Dim)
 		for _, v := range f.In {
-			sb.WriteByte(':')
-			sb.WriteString(strconv.Quote(v))
+			b = append(b, ':')
+			b = strconv.AppendQuote(b, v)
 		}
-		sb.WriteByte(';')
+		b = append(b, ';')
 	}
-	sb.WriteByte('|')
+	b = append(b, '|')
 	for _, d := range q.GroupBy {
-		sb.WriteString(strconv.Quote(d))
-		sb.WriteByte(';')
+		b = strconv.AppendQuote(b, d)
+		b = append(b, ';')
 	}
-	return sb.String()
+	return b
 }
 
 // prepared resolves the entry's cached PreparedQuery for spec, compiling
 // and caching on miss. Caller holds e.mu. The cache is reset wholesale
 // past 128 distinct specs — a safety valve, not an LRU; steady workloads
-// repeat a handful of shapes.
+// repeat a handful of shapes. A hit allocates nothing.
 func (e *entry) prepared(spec uss.QuerySpec) *uss.PreparedQuery {
-	key := queryCacheKey(spec)
-	if p, ok := e.prep[key]; ok {
+	var kb [256]byte
+	key := appendQueryCacheKey(kb[:0], spec)
+	if p, ok := e.prep[string(key)]; ok {
 		return p
 	}
 	if e.qe == nil {
@@ -842,14 +837,30 @@ func (e *entry) prepared(spec uss.QuerySpec) *uss.PreparedQuery {
 		e.prep = make(map[string]*uss.PreparedQuery)
 	}
 	p := e.qe.Prepare(spec)
-	e.prep[key] = p
+	e.prep[string(key)] = p
 	return p
+}
+
+// decodeQuery reads a /query body into the template's spec.
+func (s *Server) decodeQuery(r *http.Request) (uss.QuerySpec, error) {
+	var req queryRequest
+	if err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+		return uss.QuerySpec{}, fmt.Errorf("decode query: %w", err)
+	}
+	spec := uss.QuerySpec{GroupBy: req.GroupBy}
+	for _, f := range req.Where {
+		spec.Where = append(spec.Where, uss.QueryFilter{Dim: f.Dim, In: f.In})
+	}
+	return spec, nil
 }
 
 // handleQuery evaluates the filter/group-by template through the entry's
 // prepared-query cache: repeat query shapes reuse their compiled program
-// and the sketch's columnar label index, so a query against an unchanged
-// sketch re-parses nothing (PR 2 read path).
+// and the sketch's columnar label index, and a shape that already ran
+// since the sketch's last write reuses its groups (query.Prepared's
+// memo). The answer is rendered under the entry lock, straight from the
+// engine-owned groups into a pooled buffer, byte for byte what
+// encoding/json made of the old per-group DTOs.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, gather Gather) {
 	e, rh, ok := s.pointRead(w, r, gather)
 	if !ok {
@@ -860,14 +871,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, gather Gath
 			fmt.Errorf("sketch %q is a rollup; use /range endpoints", e.cfg.Name))
 		return
 	}
-	var req queryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode query: %w", err))
+	spec, err := s.decodeQuery(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	spec := uss.QuerySpec{GroupBy: req.GroupBy}
-	for _, f := range req.Where {
-		spec.Where = append(spec.Where, uss.QueryFilter{Dim: f.Dim, In: f.In})
+	var peers []byte
+	if rh != nil && rh.Peers != nil {
+		if peers, err = json.Marshal(rh.Peers); err != nil {
+			writeError(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+			return
+		}
 	}
 	e.mu.Lock()
 	groups, skipped, err := e.prepared(spec).Run()
@@ -876,22 +890,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, gather Gath
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Prepared results are engine-owned and reused by the next run, so
-	// they are detached into DTOs (including cloned Key maps — JSON
-	// rendering happens after the lock drops) before the unlock.
-	out := make([]groupDTO, len(groups))
-	for i, g := range groups {
-		out[i] = groupDTO{
-			Key:        maps.Clone(g.Key),
-			KeyString:  g.KeyString(),
-			Value:      g.Sum.Value,
-			StdErr:     g.Sum.StdErr,
-			SampleBins: g.Sum.SampleBins,
-		}
-	}
+	bp := answerPool.Get().(*[]byte)
+	body, err := appendQueryAnswer((*bp)[:0], groups, skipped, rh, peers)
 	e.mu.Unlock()
+	if err != nil {
+		putAnswer(bp, body)
+		writeError(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+		return
+	}
 	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, rh.add(map[string]any{"groups": out, "skipped": skipped}))
+	writeBody(w, http.StatusOK, body)
+	putAnswer(bp, body)
 }
 
 // rangeParams parses from/to for the rollup range endpoints.

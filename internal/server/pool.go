@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"sync"
 )
@@ -123,7 +124,8 @@ func (b *ingestBatch) parseText(kind Kind) error {
 			if hasTab {
 				var err error
 				w, err = strconv.ParseFloat(string(rest), 64)
-				if err != nil || w <= 0 {
+				// ParseFloat accepts NaN and Inf; neither is a weight.
+				if err != nil || !(w > 0) || math.IsInf(w, 0) {
 					return fmt.Errorf("line %d: bad weight %q", line, rest)
 				}
 			}

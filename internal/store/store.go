@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -408,8 +409,17 @@ var batchEncPool = sync.Pool{New: func() any { return new(encBuf) }}
 // use). The frame is encoded into a pooled buffer before the store lock
 // is taken — concurrent callers encode their batches in parallel and
 // serialize only on the final buffer write — and steady-state appends
-// stay allocation-free.
+// stay allocation-free. A weight recovery could not replay is refused
+// before anything is logged: the decoder rejects a negative or non-finite
+// weight, and recovery stops at the first record it cannot decode, which
+// would hide every later acknowledged batch; a weighted sketch panics on
+// a zero one.
 func (s *Store) AppendIngest(name string, items []string, ws []float64, ats []int64) (uint64, error) {
+	for i, w := range ws {
+		if !(w > 0) || math.IsInf(w, 0) {
+			return 0, fmt.Errorf("store: ingest batch for %q: row %d has invalid weight %v", name, i, w)
+		}
+	}
 	eb := batchEncPool.Get().(*encBuf)
 	frame := append(eb.b[:0], 0, 0, 0, 0, 0, 0, 0, 0)
 	frame = appendIngestPayload(frame, name, items, ws, ats)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -488,5 +489,41 @@ func TestOpenOwnsLayout(t *testing.T) {
 	}
 	if len(res.Sketches) != 0 || res.Stats.LastLSN != 0 {
 		t.Fatalf("fresh rebuild %+v", res.Stats)
+	}
+}
+
+// TestAppendIngestRefusesUnreplayableWeights: recovery stops at the first
+// record it cannot decode and panics on a weight a weighted sketch
+// refuses, so no such weight may be logged. Each one fails the append
+// without moving the log, and the batch acknowledged after them replays.
+func TestAppendIngestRefusesUnreplayableWeights(t *testing.T) {
+	dir := t.TempDir()
+	st := mustOpen(t, dir, nil)
+	spec := SketchSpec{Name: "w", Kind: "weighted", Bins: 64, Seed: 1}
+	if _, err := st.AppendCreate(mustJSON(t, spec)); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 0} {
+		before := st.LastLSN()
+		if _, err := st.AppendIngest("w", []string{"a", "b"}, []float64{1, bad}, nil); err == nil {
+			t.Errorf("weight %v: append succeeded", bad)
+		}
+		if got := st.LastLSN(); got != before {
+			t.Errorf("weight %v: refused append moved the log from LSN %d to %d", bad, before, got)
+		}
+	}
+	if _, err := st.AppendIngest("w", []string{"a", "b"}, []float64{0.5, 2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Rebuild(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb := res.Sketches["w"]
+	if rb == nil || rb.Weighted.Total() != 2.5 || rb.Rows != 2 {
+		t.Fatalf("rebuilt %+v, want the one valid batch: 2 rows, total 2.5", rb)
 	}
 }

@@ -120,9 +120,11 @@ func (e *QueryEngine) Prepare(q QuerySpec) *PreparedQuery {
 }
 
 // PreparedQuery is a compiled query bound to one engine. Repeated Run
-// calls against an unchanged sketch are allocation-free: the result slice
-// and its Key maps are owned by the PreparedQuery and reused by the next
-// Run, so callers that retain results across runs must copy them.
+// calls against an unchanged sketch return the groups the last
+// evaluation sorted, without scanning again, and allocate nothing: the
+// result slice, its Key maps and KeyPairs are owned by the PreparedQuery,
+// so callers must not modify them and must copy results they retain
+// across runs.
 type PreparedQuery struct {
 	p *query.Prepared
 }

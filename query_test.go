@@ -81,3 +81,38 @@ func TestGuaranteedFrequentPublic(t *testing.T) {
 		t.Errorf("empty sketch → %v", got)
 	}
 }
+
+// TestPreparedQuerySeesWrites: prepared queries answer a repeat on an
+// unchanged sketch from their last evaluation, so every kind must show a
+// write in the next run — a unit or weighted Version move, and any shard
+// move of a sharded sketch.
+func TestPreparedQuerySeesWrites(t *testing.T) {
+	spec := uss.QuerySpec{GroupBy: []string{"k"}}
+	unit := uss.New(64, uss.WithSeed(1))
+	weighted := uss.NewWeighted(64, uss.WithSeed(2))
+	sharded := uss.NewSharded(4, 64, uss.WithSeed(3))
+	for _, c := range []struct {
+		name  string
+		p     *uss.PreparedQuery
+		write func(item string)
+	}{
+		{"unit", unit.QueryEngine().Prepare(spec), unit.Update},
+		{"weighted", weighted.QueryEngine().Prepare(spec), func(item string) { weighted.Update(item, 1) }},
+		{"sharded", sharded.QueryEngine().Prepare(spec), sharded.Update},
+	} {
+		for round := 1; round <= 3; round++ {
+			// Each round lands on a different label, so on the sharded
+			// sketch the moving shard changes from round to round.
+			c.write(fmt.Sprintf("k=%d", round))
+			for rep := 0; rep < 2; rep++ {
+				groups, _, err := c.p.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(groups) != round {
+					t.Fatalf("%s round %d rep %d: %d groups, want %d", c.name, round, rep, len(groups), round)
+				}
+			}
+		}
+	}
+}
