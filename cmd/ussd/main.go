@@ -9,8 +9,11 @@
 // batch and pushed snapshot is written to a segmented write-ahead log
 // before it is acknowledged, the live sketches are checkpointed on an
 // interval (and on drain), and a restart — graceful or kill -9 —
-// recovers the latest checkpoint plus the log tail. See internal/store
-// and DESIGN.md §11.
+// recovers the latest checkpoint plus the log tail. -fsync always, the
+// default, acknowledges a write only after an fsync covered it; writes
+// that arrive together share one fsync (group commit, no timer).
+// -fsync never leaves flushing to the OS. See internal/store and
+// DESIGN.md §11.
 //
 // Usage:
 //
@@ -117,9 +120,7 @@ func main() {
 		maxBody = flag.Int64("max-body-bytes", 32<<20, "request body size limit")
 		drain   = flag.Duration("shutdown-timeout", 10*time.Second, "connection drain deadline on shutdown")
 		dataDir = flag.String("data-dir", "", "durability directory: WAL + checkpoints (empty = in-memory only)")
-		fsync   = flag.String("fsync", "always", "WAL fsync policy: always | interval | never")
-		fsEvery = flag.Duration("fsync-every", 100*time.Millisecond, "with -fsync interval: flush period (one fsync per period covers every append in it)")
-		grpCmt  = flag.Bool("group-commit", false, "with -fsync interval: acknowledge writes only after a covering fsync — SyncAlways durability at one fsync per -fsync-every")
+		fsync   = flag.String("fsync", "always", "WAL fsync policy: always (acknowledge after a covering fsync, shared by concurrent writes) | never")
 		ckptInt = flag.Duration("checkpoint-interval", time.Minute, "periodic checkpoint interval (0 disables; drain always checkpoints)")
 		reqTO   = flag.Duration("request-timeout", time.Minute, "per-request deadline on every handler (0 = default, negative disables)")
 		follow  = flag.String("follow", "", "boot as a replication follower of this primary URL (requires -data-dir)")
@@ -204,14 +205,11 @@ func main() {
 		if err != nil {
 			fatal(l, "bad -fsync flag", "err", err)
 		}
-		if *grpCmt && policy != store.SyncInterval {
-			fatal(l, "-group-commit requires -fsync interval (always already acks after fsync; never has nothing to wait for)")
-		}
 		rebuilt, err := store.Rebuild(*dataDir)
 		if err != nil {
 			fatal(l, "recovery failed", "dir", *dataDir, "err", err)
 		}
-		st, err := store.Open(store.Options{Dir: *dataDir, Sync: policy, SyncEvery: *fsEvery, GroupCommit: *grpCmt, Log: logger})
+		st, err := store.Open(store.Options{Dir: *dataDir, Sync: policy, Log: logger})
 		if err != nil {
 			fatal(l, "open store failed", "err", err)
 		}
@@ -226,7 +224,7 @@ func main() {
 			l.Warn("recovery warning", "detail", warn)
 		}
 		if rebuilt.Stats.TornTail {
-			l.Warn("recovery truncated a torn record at the log tail (crash artifact)")
+			l.Warn("recovery stopped at a torn or undecodable record (a torn tail is the usual crash artifact; see any warning above)")
 		}
 	}
 

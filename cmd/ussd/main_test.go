@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -427,29 +428,64 @@ func TestKillDashNineAfterRejectedWeight(t *testing.T) {
 }
 
 // TestKillDashNineRecoveryGroupCommit is the same SIGKILL scenario under
-// group commit: `-fsync interval -group-commit` amortizes one fsync over
-// many appends but still withholds every ack until a covering fsync ran,
-// so a kill -9 straight after the last 200 must lose nothing. The
-// recovered top-k has to match the pre-kill answers and an in-process
-// replay bit for bit — group commit may batch durability, not weaken it.
+// group commit, which the default `-fsync always` is: concurrent writers
+// share one fsync, but every ack still waits for a covering fsync, so a
+// kill -9 straight after the last 202 must lose nothing. The recovered
+// top-k has to match the pre-kill answers and an in-process replay bit
+// for bit — group commit may batch durability, not weaken it.
 func TestKillDashNineRecoveryGroupCommit(t *testing.T) {
 	bin := buildUssd(t)
 	dataDir := filepath.Join(t.TempDir(), "data")
-	args := []string{"-data-dir", dataDir,
-		"-fsync", "interval", "-fsync-every", "10ms", "-group-commit",
-		"-checkpoint-interval", "0",
+	args := []string{"-data-dir", dataDir, "-checkpoint-interval", "0",
 		"-create", `{"name":"clicks","kind":"unit","bins":128,"seed":31}`,
 	}
 	cmd, base := startUssd(t, bin, args...)
 
-	// Acknowledged synchronous ingests: each 200 means a shared interval
-	// fsync covered the batch before the ack left the server.
+	// Acknowledged async ingests from concurrent clients: each 202 means
+	// an fsync, shared with whichever batches landed beside it, covered
+	// the batch before the ack left the server.
+	var wg sync.WaitGroup
 	for batch := 0; batch < 8; batch++ {
 		var rows strings.Builder
 		for i := 0; i < 120; i++ {
 			fmt.Fprintf(&rows, "gc-click-%03d\n", (batch*120+i)%43)
 		}
-		mustPost(t, base+"/v1/sketches/clicks/ingest?sync=1", "text/plain", []byte(rows.String()))
+		wg.Add(1)
+		go func(body string) {
+			defer wg.Done()
+			resp, err := http.Post(base+"/v1/sketches/clicks/ingest", "text/plain", strings.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Errorf("async ingest: status %d, want 202", resp.StatusCode)
+			}
+		}(rows.String())
+	}
+	wg.Wait()
+	if t.Failed() {
+		cmd.Process.Kill()
+		t.FailNow()
+	}
+	// Wait (reads only) until the workers applied every acked row, so the
+	// pre-kill answers cover all of them.
+	for i := 0; ; i++ {
+		var info struct {
+			Rows int64 `json:"rows"`
+		}
+		if err := json.Unmarshal(mustGet(t, base+"/v1/sketches/clicks"), &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.Rows == 960 {
+			break
+		}
+		if i > 500 {
+			t.Fatalf("only %d of 960 acked rows applied", info.Rows)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
 	var preKill struct {
@@ -462,7 +498,7 @@ func TestKillDashNineRecoveryGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// kill -9 immediately after the last ack: the group's fsync already
+	// kill -9 with no write after the last ack: the group's fsync already
 	// happened, so nothing acknowledged may be missing.
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatal(err)

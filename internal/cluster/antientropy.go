@@ -83,7 +83,7 @@ func (a *Agent) localDigest() nodeDigest {
 }
 
 func (a *Agent) handleDigest(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, a.localDigest())
+	server.WriteJSON(w, http.StatusOK, a.localDigest())
 }
 
 // handleState serves this node's live partial for one sketch: the exact
@@ -183,13 +183,13 @@ func (a *Agent) handleCopies(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	a.copyMu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"owner": owner, "copies": out})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"owner": owner, "copies": out})
 }
 
 // handleAntiEntropy runs one round now and reports its stats — the
 // manual trigger (uss cluster, tests, operators).
 func (a *Agent) handleAntiEntropy(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, a.AntiEntropyRound(r.Context()))
+	server.WriteJSON(w, http.StatusOK, a.AntiEntropyRound(r.Context()))
 }
 
 // writeStateBlob writes a state/copy response: binary blob plus the

@@ -22,7 +22,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -461,17 +460,10 @@ func (a *Agent) handleLocal(w http.ResponseWriter, r *http.Request) {
 	a.inner.ServeHTTP(w, r2)
 }
 
-// writeJSON serializes v with a status code.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // writeError reports a failure as {"error": ...}, matching the wrapped
 // server's error shape.
 func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	server.WriteJSON(w, code, map[string]string{"error": err.Error()})
 }
 
 // writeRaw relays a peer's JSON answer as-is.
@@ -556,5 +548,5 @@ func (a *Agent) handleStatus(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	a.copyMu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	server.WriteJSON(w, http.StatusOK, st)
 }

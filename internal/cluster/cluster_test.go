@@ -377,3 +377,25 @@ func TestClusterUnknownSketch404(t *testing.T) {
 		t.Fatalf("ingest on unknown sketch: status %d: %s", code, b)
 	}
 }
+
+// TestClusterNonFiniteTotalAnswers500: a weighted sketch whose total
+// overflows to +Inf has no JSON encoding, so the cluster's digest and
+// list answers, which both carry totals, must be a 500 naming the
+// failure rather than a 200 with an empty body.
+func TestClusterNonFiniteTotalAnswers500(t *testing.T) {
+	tc := newTestCluster(t, 2, nil)
+	tc.create(0, server.SketchConfig{Name: "big", Kind: server.KindWeighted, Bins: 8})
+	if code, b := tc.post(0, "/v1/cluster/sketches/big/ingest?sync=1", "text/plain", "a\t1e308\nb\t1e308\n"); code != http.StatusOK {
+		t.Fatalf("local ingest: status %d: %s", code, b)
+	}
+	for _, path := range []string{"/v1/cluster/digest", "/v1/sketches"} {
+		code, b := tc.get(0, path)
+		var body struct {
+			Error string `json:"error"`
+		}
+		if code != http.StatusInternalServerError || json.Unmarshal(b, &body) != nil ||
+			!strings.HasPrefix(body.Error, "encode response: ") {
+			t.Fatalf("GET %s: status %d, body %q; want 500 with an encode error", path, code, b)
+		}
+	}
+}

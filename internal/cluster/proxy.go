@@ -90,7 +90,7 @@ func (a *Agent) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	peers, degraded := a.broadcastOthers(r.Context(), http.MethodPost, "/v1/cluster/sketches", "", "application/json", body, http.StatusCreated, http.StatusConflict)
-	writeJSON(w, http.StatusCreated, map[string]any{
+	server.WriteJSON(w, http.StatusCreated, map[string]any{
 		"name": cfg.Name, "owners": a.owners(cfg.Name), "peers": peers, "degraded": degraded,
 	})
 }
@@ -194,7 +194,7 @@ func (a *Agent) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	n := len(rows.Items)
 	if n == 0 {
-		writeJSON(w, http.StatusOK, map[string]any{"rows": 0})
+		server.WriteJSON(w, http.StatusOK, map[string]any{"rows": 0})
 		return
 	}
 	owners := a.owners(name)
@@ -227,7 +227,7 @@ func (a *Agent) handleIngest(w http.ResponseWriter, r *http.Request) {
 		tasks = append(tasks, t)
 	}
 	if !sync {
-		writeJSON(w, http.StatusAccepted, map[string]any{"rows": n, "queued": true, "fanned": len(tasks)})
+		server.WriteJSON(w, http.StatusAccepted, map[string]any{"rows": n, "queued": true, "fanned": len(tasks)})
 		return
 	}
 	peers := make(map[string]string, len(tasks))
@@ -251,12 +251,12 @@ func (a *Agent) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if failed {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"error": "ingest fan failed on some partitions", "peers": peers,
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"rows": n, "fanned": len(tasks), "peers": peers})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"rows": n, "fanned": len(tasks), "peers": peers})
 }
 
 // partitionRows splits a parsed batch into n per-owner column sets by
@@ -376,7 +376,7 @@ func (a *Agent) handlePushFan(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"merged_bins": len(pushed), "fanned": len(tasks)})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"merged_bins": len(pushed), "fanned": len(tasks)})
 }
 
 // handlePullGather serves the cluster-wide state of a sketch as one
@@ -426,7 +426,7 @@ func (a *Agent) handleInfo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sums, reads, degraded := a.sumDigests(r, name)
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"name": cfg.Name, "kind": cfg.Kind, "config": cfg,
 		"rows": sums.Rows, "pushes": sums.Pushes, "total": sums.total,
 		"degraded": degraded, "peers": reads,
@@ -521,7 +521,7 @@ func (a *Agent) handleList(w http.ResponseWriter, r *http.Request) {
 	for i, n := range names {
 		out[i] = entries[n]
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"sketches": out, "degraded": degraded})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"sketches": out, "degraded": degraded})
 }
 
 // contains reports whether list holds s.
@@ -639,7 +639,7 @@ func (a *Agent) handleRange(w http.ResponseWriter, r *http.Request) {
 	if degraded {
 		out["peers"] = reads
 	}
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // mergeRange folds per-owner range answers into the cluster answer.

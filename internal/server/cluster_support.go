@@ -135,22 +135,26 @@ func (s *Server) RestoreSketch(cfg SketchConfig, stats SketchStats, blob []byte)
 	ne.rows.Store(stats.Rows)
 	ne.pushes.Store(stats.Pushes)
 	ne.dropped.Store(stats.Dropped)
-	if s.dur == nil {
+	d := s.dur
+	if d == nil {
 		return s.reg.adopt(ne)
 	}
-	s.dur.walMu.Lock()
-	defer s.dur.walMu.Unlock()
 	spec, err := json.Marshal(specFromConfig(cfg))
 	if err != nil {
 		return err
 	}
-	if _, err := s.dur.st.AppendCreate(spec); err != nil {
+	d.walMu.Lock()
+	lsn, err := d.st.AppendCreate(spec)
+	if err == nil {
+		ne.appliedLSN.Store(lsn)
+		ne.appendedLSN.Store(lsn)
+		err = s.reg.adopt(ne)
+	}
+	d.walMu.Unlock()
+	if err != nil {
 		return err
 	}
-	lsn := s.dur.st.LastLSN()
-	ne.appliedLSN.Store(lsn)
-	ne.appendedLSN.Store(lsn)
-	return s.reg.adopt(ne)
+	return d.waitDurable(context.Background(), lsn, "restore")
 }
 
 // bootNonce tells this process's partial tokens from an earlier
@@ -278,7 +282,7 @@ func (s *Server) SketchConfigOf(name string) (SketchConfig, bool) {
 // programmatic entry point the cluster delete broadcast uses. The bool
 // reports whether the sketch existed.
 func (s *Server) DeleteSketch(name string) (bool, error) {
-	return s.deleteSketch(name)
+	return s.deleteSketch(context.Background(), name)
 }
 
 // ReadHealth is what a gathered read adds to every answer: Degraded,

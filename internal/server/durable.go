@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -19,17 +21,19 @@ import (
 //
 // # Write-ahead protocol
 //
-// Every mutating operation is logged before it is acknowledged:
+// Every mutating operation is logged before it is acknowledged, and no
+// append fsyncs by itself: each function that appends waits in
+// store.WaitDurable after it releases walMu, so concurrent writers share
+// one fsync (group commit) and no caller can skip the wait.
 //
 //   - create/delete append a manifest record under walMu before touching
 //     the registry, so the log's manifest history always leads the map;
 //   - ingest batches and snapshot pushes append their record and join
-//     the worker queue inside one walMu critical section, so queue order
-//     equals LSN order, and each entry's jobs are routed to a single
-//     worker by name hash — per-entry application order is exactly LSN
-//     order. Sync ingests and pushes ride the same queue and wait on a
-//     completion channel instead of applying inline, preserving that
-//     order.
+//     the worker queue inside one walMu critical section (write), so
+//     queue order equals LSN order, and each entry's jobs are routed to a
+//     single worker by name hash — per-entry application order is
+//     exactly LSN order. Sync ingests and pushes ride the same queue and
+//     wait on a completion channel, as they do in memory.
 //
 // Because applies per entry happen in LSN order under the entry lock,
 // entry.appliedLSN is gap-free: the sketch state contains exactly the
@@ -39,13 +43,6 @@ import (
 type durableState struct {
 	st    *store.Store
 	walMu sync.Mutex
-
-	// ackAfterFsync gates every ingest/push acknowledgement on
-	// store.WaitDurable (group commit): the record is appended and
-	// queued under walMu as usual, but the HTTP response is not written
-	// until an interval fsync covers its LSN. The wait happens after
-	// walMu is released, so the flush never serializes the group.
-	ackAfterFsync bool
 
 	every time.Duration
 	stop  chan struct{}
@@ -97,7 +94,7 @@ func (s *Server) AttachStore(st *store.Store, rebuilt *store.RebuildResult, chec
 		}
 	}
 	st.WireObs(s.ob.FsyncHist, s.ob.GroupCommitHist, s.cfg.Log)
-	d := &durableState{st: st, ackAfterFsync: st.AckAfterFsync(), every: checkpointEvery, stop: make(chan struct{})}
+	d := &durableState{st: st, every: checkpointEvery, stop: make(chan struct{})}
 	s.dur = d
 	// Adopt the data dir's replication timeline so a restarted node knows
 	// which epoch its log belongs to (a dir that predates replication is
@@ -149,36 +146,58 @@ func entryFromRebuilt(rb *store.RebuiltSketch) (*entry, error) {
 	return e, nil
 }
 
-// createSketch validates, logs (when durable) and registers a sketch.
-func (s *Server) createSketch(cfg SketchConfig) (*entry, error) {
+// errNotDurable marks a mutation that was logged but that no fsync
+// covered: it is not acknowledged, and answers 503.
+var errNotDurable = errors.New("logged but not durable; not acknowledged")
+
+// waitDurable waits until lsn is fsynced. Call it after releasing walMu.
+// what names the mutation in the error.
+func (d *durableState) waitDurable(ctx context.Context, lsn uint64, what string) error {
+	if err := d.st.WaitDurable(ctx, lsn); err != nil {
+		return fmt.Errorf("%s %w (%v)", what, errNotDurable, err)
+	}
+	return nil
+}
+
+// createSketch validates, logs (when durable) and registers a sketch,
+// returning once its create record is durable.
+func (s *Server) createSketch(ctx context.Context, cfg SketchConfig) (*entry, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if s.dur == nil {
+	d := s.dur
+	if d == nil {
 		return s.reg.Create(cfg)
-	}
-	s.dur.walMu.Lock()
-	defer s.dur.walMu.Unlock()
-	if _, taken := s.reg.Get(cfg.Name); taken {
-		return nil, fmt.Errorf("sketch %q: %w", cfg.Name, ErrExists)
 	}
 	spec, err := json.Marshal(specFromConfig(cfg))
 	if err != nil {
 		return nil, err
 	}
-	lsn, err := s.dur.st.AppendCreate(spec)
+	d.walMu.Lock()
+	if _, taken := s.reg.Get(cfg.Name); taken {
+		d.walMu.Unlock()
+		return nil, fmt.Errorf("sketch %q: %w", cfg.Name, ErrExists)
+	}
+	lsn, err := d.st.AppendCreate(spec)
 	if err != nil {
+		d.walMu.Unlock()
 		return nil, err
 	}
 	e, err := s.reg.Create(cfg)
+	if err == nil {
+		// The empty sketch's state covers exactly the records through its
+		// create record. Without this watermark a never-written sketch
+		// would pin the checkpoint cutoff at 0 and disable log compaction.
+		e.appliedLSN.Store(lsn)
+		e.appendedLSN.Store(lsn)
+	}
+	d.walMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	// The empty sketch's state covers exactly the records through its
-	// create record. Without this watermark a never-written sketch would
-	// pin the checkpoint cutoff at 0 and disable log compaction.
-	e.appliedLSN.Store(lsn)
-	e.appendedLSN.Store(lsn)
+	if err := d.waitDurable(ctx, lsn, "create"); err != nil {
+		return nil, err
+	}
 	return e, nil
 }
 
@@ -188,25 +207,30 @@ func (s *Server) createSketch(cfg SketchConfig) (*entry, error) {
 // flag). Use errors.Is with ErrExists to detect a name that recovery
 // already restored.
 func (s *Server) CreateSketch(cfg SketchConfig) error {
-	_, err := s.createSketch(cfg)
+	_, err := s.createSketch(context.Background(), cfg)
 	return err
 }
 
 // deleteSketch logs (when durable) and unregisters a sketch, reporting
-// whether it existed.
-func (s *Server) deleteSketch(name string) (bool, error) {
-	if s.dur == nil {
+// whether it existed, and returns once its delete record is durable.
+func (s *Server) deleteSketch(ctx context.Context, name string) (bool, error) {
+	d := s.dur
+	if d == nil {
 		return s.reg.Delete(name), nil
 	}
-	s.dur.walMu.Lock()
-	defer s.dur.walMu.Unlock()
+	d.walMu.Lock()
 	if _, ok := s.reg.Get(name); !ok {
+		d.walMu.Unlock()
 		return false, nil
 	}
-	if _, err := s.dur.st.AppendDelete(name); err != nil {
+	lsn, err := d.st.AppendDelete(name)
+	if err != nil {
+		d.walMu.Unlock()
 		return false, err
 	}
-	return s.reg.Delete(name), nil
+	existed := s.reg.Delete(name)
+	d.walMu.Unlock()
+	return existed, d.waitDurable(ctx, lsn, "delete")
 }
 
 // encodeState serializes the entry's sketch for a checkpoint. Caller
@@ -283,8 +307,8 @@ func (s *Server) Checkpoint() error {
 	// were the manifest committed first and the un-fsynced tail lost
 	// with the machine, recovery would resume numbering below the
 	// checkpoint's cutoff and the replay gate would skip the reused
-	// LSNs. Matters under -fsync interval (group commit); a no-op under
-	// -fsync always.
+	// LSNs. A worker may apply a record before its waiter's fsync runs,
+	// so the state encoded above can lead the durable watermark.
 	if err := s.dur.st.Sync(); err != nil {
 		cw.Abort()
 		return fmt.Errorf("server: checkpoint: sync wal: %w", err)

@@ -1,12 +1,14 @@
 package server
 
-// Server-level group-commit tests: the HTTP ack ordering over a
-// SyncInterval+GroupCommit store. An acknowledged request implies a
-// covering fsync ran; a store whose fsyncs fail must answer 503 without
-// acknowledging, even though the record is logged and will apply.
+// Server-level group-commit tests: the HTTP ack ordering over the
+// default store, whose WaitDurable is group commit. An acknowledged
+// request implies a covering fsync ran; a store whose fsyncs fail must
+// answer 503 without acknowledging, even though the record is logged and
+// will apply.
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,19 +16,19 @@ import (
 	"testing"
 	"time"
 
+	uss "repro"
 	"repro/internal/faultinject"
 	"repro/internal/store"
 )
 
-// groupCommitServer boots a durable server whose store acks after the
-// shared interval fsync.
-func groupCommitServer(t *testing.T, dir string, every time.Duration) (*Server, *httptest.Server, *store.Store) {
+// groupCommitServer boots a durable server over the default store.
+func groupCommitServer(t *testing.T, dir string) (*Server, *httptest.Server, *store.Store) {
 	t.Helper()
 	rebuilt, err := store.Rebuild(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(store.Options{Dir: dir, Sync: store.SyncInterval, SyncEvery: every, GroupCommit: true})
+	st, err := store.Open(store.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +47,7 @@ func TestGroupCommitServerAckImpliesFsync(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 	dir := t.TempDir()
-	s, ts, st := groupCommitServer(t, dir, time.Millisecond)
+	s, ts, st := groupCommitServer(t, dir)
 
 	create(t, ts, SketchConfig{Name: "u", Kind: KindUnit, Bins: 64, Seed: 11})
 	for i := 0; i < 4; i++ {
@@ -81,7 +83,7 @@ func TestGroupCommitServerAckImpliesFsync(t *testing.T) {
 	before := topk(t, ts, "u", 10)
 	shutdown(t, s, ts)
 
-	s2, ts2, _ := groupCommitServer(t, dir, time.Millisecond)
+	s2, ts2, _ := groupCommitServer(t, dir)
 	defer shutdown(t, s2, ts2)
 	after := topk(t, ts2, "u", 10)
 	if len(after) != len(before) {
@@ -95,14 +97,14 @@ func TestGroupCommitServerAckImpliesFsync(t *testing.T) {
 }
 
 // TestGroupCommitServerNeverAcksUnfsynced arms wal.fail-fsync and checks
-// the server times the ack out with a 503 instead of acknowledging a
-// record no fsync covered. The batch is still logged and applies — group
+// the server answers the failed fsync with a 503 instead of acknowledging
+// a record no fsync covered. The batch is still logged and applies — group
 // commit weakens nothing about at-least-once, only the ack is withheld.
 func TestGroupCommitServerNeverAcksUnfsynced(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 	dir := t.TempDir()
-	s, ts, st := groupCommitServer(t, dir, time.Millisecond)
+	s, ts, st := groupCommitServer(t, dir)
 
 	create(t, ts, SketchConfig{Name: "u", Kind: KindUnit, Bins: 64, Seed: 7})
 	// Let the create's records reach disk before breaking fsync.
@@ -131,7 +133,7 @@ func TestGroupCommitServerNeverAcksUnfsynced(t *testing.T) {
 		t.Fatal("no injected fsync failure was recorded")
 	}
 
-	// Heal the disk: the flusher retries, the log catches up, and new
+	// Heal the disk: the next waiter's fsync covers the log, and new
 	// writes ack normally again.
 	faultinject.Reset()
 	resp, err = http.Post(ts.URL+"/v1/sketches/u/ingest?sync=1", "text/plain", strings.NewReader("z\n"))
@@ -154,4 +156,88 @@ func TestGroupCommitServerNeverAcksUnfsynced(t *testing.T) {
 	if sk := rebuilt.Sketches["u"]; sk == nil || sk.Rows != 3 {
 		t.Fatalf("recovered rows = %v, want 3 (2 logged-unacked + 1 acked)", rebuilt.Sketches["u"])
 	}
+}
+
+// TestEveryAppendReturnsDurable drives each entry point that appends to
+// the log of a durable server on the default store, and requires that
+// each one returns success only with its record fsynced: no append
+// fsyncs by itself, so every one of them must wait. kill -9 suites
+// cannot see a missing wait (the page cache survives the process).
+func TestEveryAppendReturnsDurable(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	dir := t.TempDir()
+	s, ts, st := groupCommitServer(t, dir)
+	defer shutdown(t, s, ts)
+	durable := func(st *store.Store, what string) {
+		t.Helper()
+		if st.SyncedLSN() < st.LastLSN() {
+			t.Fatalf("%s returned with SyncedLSN %d < LastLSN %d", what, st.SyncedLSN(), st.LastLSN())
+		}
+	}
+	send := func(method, path, ct, body string, want int) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", ct)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s %s: status %d (%s), want %d", method, path, resp.StatusCode, msg, want)
+		}
+		durable(st, method+" "+path)
+	}
+
+	send("POST", "/v1/sketches", "application/json", `{"name":"u","kind":"unit","bins":64,"seed":3}`, http.StatusCreated)
+	send("POST", "/v1/sketches/u/ingest", "text/plain", "a\nb\n", http.StatusAccepted)
+	send("POST", "/v1/sketches/u/ingest?sync=1", "text/plain", "c\n", http.StatusOK)
+	if err := s.CreateSketch(SketchConfig{Name: "w", Kind: KindWeighted, Bins: 64, Seed: 4}); err != nil {
+		t.Fatal(err)
+	}
+	durable(st, "CreateSketch")
+	agent := uss.NewWeighted(16, uss.WithSeed(5))
+	agent.Update("x", 2)
+	blob, err := agent.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send("POST", "/v1/sketches/w/snapshot", "application/octet-stream", string(blob), http.StatusOK)
+	if err := s.RestoreSketch(SketchConfig{Name: "r", Kind: KindUnit, Bins: 16}, SketchStats{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	durable(st, "RestoreSketch")
+	send("DELETE", "/v1/sketches/r", "text/plain", "", http.StatusNoContent)
+	if ok, err := s.DeleteSketch("w"); !ok || err != nil {
+		t.Fatalf("DeleteSketch = %v, %v", ok, err)
+	}
+	durable(st, "DeleteSketch")
+
+	// A follower replays the same log one record at a time, then promotes.
+	f, fts, fst := groupCommitServer(t, t.TempDir())
+	defer shutdown(t, f, fts)
+	f.SetRole(RoleFollower)
+	n := 0
+	if _, err := store.StreamPayloads(dir, 1, 0, func(lsn uint64, payload []byte) error {
+		if err := f.ApplyReplicated(lsn, payload); err != nil {
+			return err
+		}
+		durable(fst, fmt.Sprintf("ApplyReplicated(%d)", lsn))
+		n++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != 8 {
+		t.Fatalf("follower applied %d records, want the primary's 8", n)
+	}
+	if err := f.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	durable(fst, "Promote")
 }

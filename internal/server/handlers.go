@@ -14,10 +14,12 @@ import (
 	"repro/internal/store"
 )
 
-// writeJSON serializes v with a status code. v is encoded before the
+// WriteJSON serializes v with a status code. v is encoded before the
 // status goes out, so a value encoding/json refuses (a non-finite float)
 // answers 500 naming the failure rather than a 200 with an empty body.
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// Exported so embedders (the cluster agent) answer through the same
+// encoder.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		code = http.StatusInternalServerError
@@ -28,7 +30,21 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // writeError reports a failure as {"error": ...}.
 func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	WriteJSON(w, code, map[string]string{"error": err.Error()})
+}
+
+// writeLogError answers a mutation whose log step failed: a read-only
+// disk and a record no fsync covered are 503s, the first with a
+// Retry-After; anything else answers fallback.
+func writeLogError(w http.ResponseWriter, fallback int, err error) {
+	switch {
+	case errors.Is(err, store.ErrReadOnly):
+		writeRetryError(w, http.StatusServiceUnavailable, readOnlyRetryAfter, err)
+	case errors.Is(err, errNotDurable):
+		writeError(w, http.StatusServiceUnavailable, err)
+	default:
+		writeError(w, fallback, err)
+	}
 }
 
 // statusFor maps a registry error to its status: ErrExists is a
@@ -106,26 +122,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode config: %w", err))
 		return
 	}
-	e, err := s.createSketch(cfg)
+	e, err := s.createSketch(r.Context(), cfg)
 	if err != nil {
-		if errors.Is(err, store.ErrReadOnly) {
-			writeRetryError(w, http.StatusServiceUnavailable, readOnlyRetryAfter, err)
-			return
-		}
-		writeError(w, statusFor(err), err)
+		writeLogError(w, statusFor(err), err)
 		return
 	}
-	if s.dur != nil && s.dur.ackAfterFsync {
-		// Manifest records honor the same group-commit ack gate as
-		// ingest: no 201 before a covering fsync. Creates are rare, so
-		// waiting on the log's current tail is fine.
-		if err := s.dur.st.WaitDurable(r.Context(), s.dur.st.LastLSN()); err != nil {
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Errorf("create logged but not yet durable (%v); not acknowledged", err))
-			return
-		}
-	}
-	writeJSON(w, http.StatusCreated, e.info())
+	WriteJSON(w, http.StatusCreated, e.info())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
@@ -134,7 +136,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	for i, e := range entries {
 		infos[i] = e.info()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"sketches": infos})
+	WriteJSON(w, http.StatusOK, map[string]any{"sketches": infos})
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
@@ -148,35 +150,22 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, e.info())
+	WriteJSON(w, http.StatusOK, e.info())
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if s.followerRejects(w) {
 		return
 	}
-	ok, err := s.deleteSketch(r.PathValue("name"))
+	ok, err := s.deleteSketch(r.Context(), r.PathValue("name"))
 	if err != nil {
-		if errors.Is(err, store.ErrReadOnly) {
-			writeRetryError(w, http.StatusServiceUnavailable, readOnlyRetryAfter, err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err)
+		writeLogError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if !ok {
 		err := fmt.Errorf("sketch %q: %w", r.PathValue("name"), ErrNotFound)
 		writeError(w, statusFor(err), err)
 		return
-	}
-	if s.dur != nil && s.dur.ackAfterFsync {
-		// See handleCreate: the delete's manifest record must be fsynced
-		// before the 204.
-		if err := s.dur.st.WaitDurable(r.Context(), s.dur.st.LastLSN()); err != nil {
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Errorf("delete logged but not yet durable (%v); not acknowledged", err))
-			return
-		}
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -192,11 +181,12 @@ type ingestJSON struct {
 	} `json:"rows"`
 }
 
-// handleIngest decodes a batch (pooled text fast path, or JSON) and either
-// queues it (default, 202) or applies it inline (?sync=1, 200). Admission
-// runs first: the body's bytes charge the global in-flight budget before
-// decoding, and the decoded row count draws from the sketch's token
-// bucket; either gate sheds with a Retry-After hint.
+// handleIngest decodes a batch (pooled text fast path, or JSON) and queues
+// it, acknowledging once it is durable (202) or, with ?sync=1, once its
+// entry's worker applied it (200). Admission runs first: the body's bytes
+// charge the global in-flight budget before decoding, and the decoded row
+// count draws from the sketch's token bucket; either gate sheds with a
+// Retry-After hint.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.followerRejects(w) {
 		return
@@ -225,7 +215,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	n := len(b.items)
 	if n == 0 {
 		putBatch(b)
-		writeJSON(w, http.StatusOK, map[string]any{"rows": 0})
+		WriteJSON(w, http.StatusOK, map[string]any{"rows": 0})
 		return
 	}
 	if rate := s.cfg.IngestRateRows; rate > 0 {
@@ -238,111 +228,88 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.met.batchesQueued.Add(1)
-	sync := r.URL.Query().Get("sync") != ""
-	if s.dur != nil {
-		handedOff = s.ingestDurable(w, r, e, b, n, sync, charge)
-		return
+	j := ingestJob{e: e, b: b, charge: charge}
+	if r.URL.Query().Get("sync") != "" {
+		j.done = make(chan applyResult, 1)
 	}
-	if sync {
-		s.applyBatch(e, b, 0)
+	_, handedOff, ok = s.write(w, r, j, "batch", func() (uint64, error) { return s.appendIngestWAL(e, b) })
+	if !handedOff {
 		putBatch(b)
-		writeJSON(w, http.StatusOK, map[string]any{"rows": n})
+	}
+	if !ok {
 		return
 	}
-	queued, err := s.enqueue(r.Context(), ingestJob{e: e, b: b, charge: charge})
-	if err != nil {
-		// Queue full until the client's deadline: shed the batch — the
-		// rows were never acknowledged, so dropping them here is the
-		// backpressure contract, not loss.
-		putBatch(b)
-		writeRetryError(w, http.StatusServiceUnavailable, time.Second, fmt.Errorf("ingest queue full: %w", err))
+	if j.done != nil {
+		WriteJSON(w, http.StatusOK, map[string]any{"rows": n})
 		return
 	}
-	if !queued {
-		// Shutting down: the queue is closed, apply inline rather than
-		// dropping accepted rows.
-		s.applyBatch(e, b, 0)
-		putBatch(b)
-		writeJSON(w, http.StatusOK, map[string]any{"rows": n})
-		return
-	}
-	handedOff = true // the worker releases the charge after the apply
-	writeJSON(w, http.StatusAccepted, map[string]any{"rows": n, "queued": true})
+	WriteJSON(w, http.StatusAccepted, map[string]any{"rows": n, "queued": true})
 }
 
-// ingestDurable is the write-ahead ingest path: the batch's WAL record
-// and its queue slot are claimed in one walMu critical section (so the
-// entry's worker sees jobs in LSN order), and nothing is acknowledged
-// before the append — under -fsync always an acknowledged batch is on
-// disk. Sync callers wait for the worker to apply instead of applying
-// inline, which would break per-entry ordering; the wait observes the
-// request context, so a dead client releases its handler while the
-// already-logged batch still applies in order.
-func (s *Server) ingestDurable(w http.ResponseWriter, r *http.Request, e *entry, b *ingestBatch, n int, sync bool, charge int64) (handedOff bool) {
-	var done chan applyResult
-	if sync {
-		done = make(chan applyResult, 1)
+// write takes one ingest batch or snapshot push down the route every
+// mutation shares: log, enqueue, then one ack wait. A durable server
+// appends the record with logRec and enqueues j in one walMu section, so
+// each entry's queue order is its LSN order; an in-memory server only
+// enqueues. The ack waits for WaitDurable when the server is durable,
+// then, when j.done is set, for the entry's worker to apply the job —
+// and since the worker applies its entry's jobs in queue order, an
+// applied ack also means every earlier job on that entry applied. what
+// names the mutation in error answers. write answers every failure
+// itself; ok reports whether the caller may send its 2xx, and queued
+// whether the worker took the job, with its batch and admission charge.
+func (s *Server) write(w http.ResponseWriter, r *http.Request, j ingestJob, what string, logRec func() (uint64, error)) (res applyResult, queued, ok bool) {
+	d := s.dur
+	ctx := r.Context()
+	if d != nil {
+		d.walMu.Lock()
+		lsn, err := logRec()
+		if err != nil {
+			d.walMu.Unlock()
+			writeLogError(w, http.StatusInternalServerError, fmt.Errorf("wal append: %w", err))
+			return res, false, false
+		}
+		j.lsn = lsn
+		j.e.appendedLSN.Store(lsn)
+		// The record is on the log, so the job must not be dropped: the
+		// queue slot wait is bounded by shutdown, not by the client.
+		ctx = context.Background()
 	}
-	s.dur.walMu.Lock()
-	lsn, err := s.appendIngestWAL(e, b)
+	queued, err := s.enqueue(ctx, j)
+	if d != nil {
+		d.walMu.Unlock()
+	}
 	if err != nil {
-		s.dur.walMu.Unlock()
-		putBatch(b)
-		if errors.Is(err, store.ErrReadOnly) {
-			// Disk below the hard watermark: the store is read-only until
-			// space returns. The batch was never logged or acknowledged.
-			writeRetryError(w, http.StatusServiceUnavailable, readOnlyRetryAfter, err)
-			return false
-		}
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("wal append: %w", err))
-		return false
+		// Queue full until the client's deadline: shed the job. Nothing
+		// was logged or acknowledged, so this is backpressure, not loss.
+		writeRetryError(w, http.StatusServiceUnavailable, time.Second, fmt.Errorf("ingest queue full: %w", err))
+		return res, false, false
 	}
-	e.appendedLSN.Store(lsn)
-	// The record is on the log, so the batch must not be dropped on any
-	// path below: enqueue without a context deadline (the queue slot wait
-	// is bounded by shutdown, and the batch's worker never blocks on the
-	// buffered done channel).
-	queued, _ := s.enqueue(context.Background(), ingestJob{e: e, b: b, lsn: lsn, done: done, charge: charge})
-	s.dur.walMu.Unlock()
 	if !queued {
-		// Shutting down after the drain deadline: the queues are closed.
-		// Applying inline here would race the entry's worker and could
-		// invert per-entry LSN order — the one invariant checkpoints
-		// stand on — so refuse instead. The record is already on the
-		// log above the entry's watermark, so the drain checkpoint's
-		// cutoff spares it and the next boot replays it: a 503 here
-		// still means at-least-once, never loss.
-		putBatch(b)
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("shutting down; batch is logged and will apply on restart"))
-		return false
+		// Shutdown closed the queues. Applying inline here would race the
+		// entry's worker and could invert its order, so refuse. A logged
+		// record sits above its entry's watermark, so the drain
+		// checkpoint's cutoff spares it and the next boot replays it.
+		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("shutting down; %s not acknowledged", what))
+		return res, false, false
 	}
-	if s.dur.ackAfterFsync {
-		// Group commit: the record is logged and queued, but the ack
-		// must not outrun the interval fsync that covers it. The wait
-		// runs outside walMu, so many batches share one fsync. On
-		// timeout nothing was acknowledged — the batch still applies
-		// (and survives only if the log reached disk), exactly the
-		// SyncAlways contract.
-		if err := s.dur.st.WaitDurable(r.Context(), lsn); err != nil {
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Errorf("batch logged but not yet durable (%v); not acknowledged", err))
-			return true
+	if d != nil {
+		if err := d.waitDurable(r.Context(), j.lsn, what); err != nil {
+			writeError(w, http.StatusServiceUnavailable, err)
+			return res, true, false
 		}
 	}
-	if sync {
+	if j.done != nil {
 		select {
-		case <-done:
-			writeJSON(w, http.StatusOK, map[string]any{"rows": n})
+		case res = <-j.done:
 		case <-r.Context().Done():
-			// Client gone or deadline struck: free the handler. The batch
-			// is logged and queued, so it still applies in LSN order.
+			// Client gone or deadline struck: free the handler. The job is
+			// queued, so it still applies in order.
 			writeError(w, http.StatusServiceUnavailable,
-				fmt.Errorf("request context done before apply (%w); batch is logged and queued", r.Context().Err()))
+				fmt.Errorf("request context done before apply (%w); %s is queued", r.Context().Err(), what))
+			return res, true, false
 		}
-		return true
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"rows": n, "queued": true})
-	return true
+	return res, true, true
 }
 
 // decodeIngest parses the request body into b according to content type:
@@ -462,57 +429,18 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var res applyResult
-	if s.dur != nil {
-		// Write-ahead: log the validated snapshot and its reduction,
-		// then apply on the entry's worker in LSN order.
-		done := make(chan applyResult, 1)
-		s.dur.walMu.Lock()
-		lsn, err := s.dur.st.AppendSnapshot(e.cfg.Name, byte(red), b.buf)
-		if err != nil {
-			s.dur.walMu.Unlock()
-			if errors.Is(err, store.ErrReadOnly) {
-				writeRetryError(w, http.StatusServiceUnavailable, readOnlyRetryAfter, err)
-				return
-			}
-			writeError(w, http.StatusInternalServerError, fmt.Errorf("wal append: %w", err))
-			return
-		}
-		e.appendedLSN.Store(lsn)
-		queued, _ := s.enqueue(context.Background(), ingestJob{e: e, push: pushed, red: red, lsn: lsn, done: done, charge: charge})
-		s.dur.walMu.Unlock()
-		if !queued {
-			// See ingestDurable: applying inline post-drain could invert
-			// per-entry LSN order; the logged record replays on restart.
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Errorf("shutting down; snapshot is logged and will merge on restart"))
-			return
-		}
-		handedOff = true // the worker releases the charge after the merge
-		if s.dur.ackAfterFsync {
-			// See ingestDurable: no ack before a covering fsync.
-			if err := s.dur.st.WaitDurable(r.Context(), lsn); err != nil {
-				writeError(w, http.StatusServiceUnavailable,
-					fmt.Errorf("snapshot logged but not yet durable (%v); not acknowledged", err))
-				return
-			}
-		}
-		select {
-		case res = <-done:
-		case <-r.Context().Done():
-			// The push is logged and queued; it merges in order without us.
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Errorf("request context done before merge (%w); snapshot is logged and queued", r.Context().Err()))
-			return
-		}
-	} else {
-		res = s.applyPush(e, pushed, red, 0)
+	j := ingestJob{e: e, push: pushed, red: red, charge: charge, done: make(chan applyResult, 1)}
+	res, handedOff, ok := s.write(w, r, j, "snapshot", func() (uint64, error) {
+		return s.dur.st.AppendSnapshot(e.cfg.Name, byte(red), b.buf)
+	})
+	if !ok {
+		return
 	}
 	if res.err != nil {
 		writeError(w, http.StatusInternalServerError, res.err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"merged_bins": len(pushed),
 		"size":        res.size,
 		"capacity":    e.cfg.Bins,
@@ -636,7 +564,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, gather Gathe
 		return
 	}
 	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, rh.add(map[string]any{"items": toBinDTOs(bins)}))
+	WriteJSON(w, http.StatusOK, rh.add(map[string]any{"items": toBinDTOs(bins)}))
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, gather Gather) {
@@ -667,7 +595,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, gather G
 		return
 	}
 	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, rh.add(map[string]any{"item": item, "estimate": est}))
+	WriteJSON(w, http.StatusOK, rh.add(map[string]any{"item": item, "estimate": est}))
 }
 
 // estimateDTO renders an Estimate with its conservative 95% interval.
@@ -778,7 +706,7 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request, gather Gather
 	}
 	s.met.queriesServed.Add(1)
 	// A struct, not a map, so the node's answer keeps its field order.
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		estimateDTO
 		*ReadHealth
 	}{toEstimateDTO(est), rh})
@@ -952,7 +880,7 @@ func (s *Server) handleRangeTopK(w http.ResponseWriter, r *http.Request) {
 	bins := e.rollup.TopKRange(from, to, k)
 	e.mu.Unlock()
 	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{"items": toBinDTOs(bins)})
+	WriteJSON(w, http.StatusOK, map[string]any{"items": toBinDTOs(bins)})
 }
 
 func (s *Server) handleRangeSum(w http.ResponseWriter, r *http.Request) {
@@ -979,7 +907,7 @@ func (s *Server) handleRangeSum(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, toEstimateDTO(est))
+	WriteJSON(w, http.StatusOK, toEstimateDTO(est))
 }
 
 func (s *Server) handleRangeTotal(w http.ResponseWriter, r *http.Request) {
@@ -996,5 +924,5 @@ func (s *Server) handleRangeTotal(w http.ResponseWriter, r *http.Request) {
 	total := e.rollup.TotalRange(from, to)
 	e.mu.Unlock()
 	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{"total": total})
+	WriteJSON(w, http.StatusOK, map[string]any{"total": total})
 }

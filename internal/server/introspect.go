@@ -23,5 +23,5 @@ func (s *Server) handleIntrospectHot(w http.ResponseWriter, r *http.Request) {
 		}
 		k = n
 	}
-	writeJSON(w, http.StatusOK, s.ob.Hot.Report(k))
+	WriteJSON(w, http.StatusOK, s.ob.Hot.Report(k))
 }

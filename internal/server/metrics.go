@@ -227,7 +227,7 @@ func (s *Server) RegisterMetrics(f func(w io.Writer)) {
 // handleHealthz reports liveness. It never touches sketch state, so a
 // wedged merge cannot take the probe down with it.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": time.Since(s.met.start).Seconds(),
 	})

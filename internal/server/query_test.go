@@ -465,7 +465,7 @@ func TestRaceQueryUnderIngest(t *testing.T) {
 func adServer(t testing.TB) *Server {
 	t.Helper()
 	s := New(Config{IngestWorkers: 1, QueueDepth: 4})
-	e, err := s.createSketch(SketchConfig{Name: "ads", Kind: KindSharded, Bins: 1024, Shards: 8, Seed: 1})
+	e, err := s.createSketch(context.Background(), SketchConfig{Name: "ads", Kind: KindSharded, Bins: 1024, Shards: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

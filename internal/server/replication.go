@@ -135,7 +135,12 @@ func (s *Server) Promote() error {
 	}
 	tl := store.Timeline{Epoch: s.epoch.Load() + 1}
 	if d != nil {
+		// The new epoch starts at the log end, so that end must be durable
+		// before the timeline names it.
 		tl.PromoteLSN = d.st.LastLSN()
+		if err := d.waitDurable(context.Background(), tl.PromoteLSN, "promotion"); err != nil {
+			return err
+		}
 		if err := store.SaveTimeline(d.st.Dir(), tl); err != nil {
 			return err
 		}
@@ -154,10 +159,11 @@ func (s *Server) Promote() error {
 // appended to the local log first (byte-identical to the primary's) and
 // then applied through the same code paths the primary's own workers
 // use — applyBatch for ingest, applyPush for snapshots — so a promoted
-// follower's state is bit-identical to a replay of the same records. A
-// duplicate LSN is skipped silently (dup-frame faults, stream resumes);
-// a gap is an error and the caller must re-request from its log end.
-func (s *Server) ApplyReplicated(lsn uint64, payload []byte) error {
+// follower's state is bit-identical to a replay of the same records. It
+// returns success only once the record is durable. A duplicate LSN is
+// skipped silently (dup-frame faults, stream resumes); a gap is an error
+// and the caller must re-request from its log end.
+func (s *Server) ApplyReplicated(lsn uint64, payload []byte) (err error) {
 	d := s.dur
 	if d == nil {
 		return fmt.Errorf("server: replicated apply needs an attached store")
@@ -173,9 +179,22 @@ func (s *Server) ApplyReplicated(lsn uint64, payload []byte) error {
 		return ErrNotFollower
 	}
 	applied, err := d.st.AppendReplicated(lsn, payload)
-	if err != nil || !applied {
+	if err != nil {
 		d.walMu.Unlock()
 		return err
+	}
+	// No append fsyncs by itself, so this wait runs on every return below,
+	// after walMu is released, duplicates included: a re-request after a
+	// failed wait sees its record as a duplicate. Applying before the wait
+	// keeps that record from being logged but never applied.
+	defer func() {
+		if werr := d.waitDurable(context.Background(), lsn, "replicated record"); err == nil {
+			err = werr
+		}
+	}()
+	if !applied {
+		d.walMu.Unlock()
+		return nil
 	}
 	s.met.replApplied.Add(1)
 	switch rec.Type {
@@ -310,7 +329,7 @@ func (s *Server) replStatus() ReplStatus {
 }
 
 func (s *Server) handleReplStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.replStatus())
+	WriteJSON(w, http.StatusOK, s.replStatus())
 }
 
 func (s *Server) handleReplPromote(w http.ResponseWriter, _ *http.Request) {
@@ -318,7 +337,7 @@ func (s *Server) handleReplPromote(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.replStatus())
+	WriteJSON(w, http.StatusOK, s.replStatus())
 }
 
 // handleReplCheckpoint streams the newest committed checkpoint as a
@@ -477,5 +496,5 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if !s.Ready() {
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, body)
+	WriteJSON(w, code, body)
 }

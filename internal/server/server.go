@@ -46,10 +46,11 @@
 // Ingest is batched and, by default, asynchronous: the handler decodes
 // the request body into a pooled batch (see ingestBatch), enqueues it and
 // replies 202; a fixed pool of worker goroutines applies batches in
-// arrival order per queue. `?sync=1` applies the batch inline and replies
-// 200 for read-after-write callers. Pushed snapshots are decoded with
-// uss.DecodeBins and merged under the entry lock with uss.MergeBins —
-// bins, never sketches, cross the wire.
+// arrival order per queue. `?sync=1` waits for the entry's worker to
+// apply the batch and replies 200 for read-after-write callers. Pushed
+// snapshots take the same queue; they are decoded with uss.DecodeBins
+// and merged under the entry lock with uss.MergeBins — bins, never
+// sketches, cross the wire.
 //
 // Shutdown drains: the HTTP server stops accepting, in-flight handlers
 // finish, the ingest queue runs dry, then workers exit. Rows accepted
@@ -156,8 +157,8 @@ func (c *Config) defaults() {
 // either a decoded ingest batch (b non-nil) or a decoded snapshot push
 // (push non-nil). lsn is the job's WAL record on a durable server (0
 // otherwise); done, when non-nil, receives the apply's result so sync
-// callers can wait without applying inline (durable mode applies
-// everything on the entry's worker to keep per-entry LSN order).
+// callers wait for the entry's worker, which applies everything in
+// queue order.
 type ingestJob struct {
 	e    *entry
 	b    *ingestBatch
@@ -433,8 +434,8 @@ func (s *Server) ingestWorker(i int) {
 // TestKillDashNineRecovery pins.
 //
 // Sketch-update semantics are identical with and without the lock; the
-// non-durable sharded path skips it so concurrent batches keep flowing
-// through UpdateBatch's per-shard locking.
+// non-durable sharded path skips it because nothing checkpoints an
+// in-memory entry.
 func (s *Server) applyBatch(e *entry, b *ingestBatch, lsn uint64) {
 	if s.ensureLive(e) != nil {
 		// The cold blob failed to restore; the batch cannot apply. The

@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	uss "repro"
 )
@@ -624,5 +625,81 @@ func TestSumFormsMatchScan(t *testing.T) {
 				t.Errorf("%s ?%s = %+v, scan %+v", name, f.query, got, toEstimateDTO(want))
 			}
 		}
+	}
+}
+
+// TestInMemorySyncIngestOrdersAfterQueued pins the one write route on an
+// in-memory server: a ?sync=1 200 is answered by the entry's worker, so
+// every batch acknowledged 202 before it on that sketch is applied by
+// then; and once Shutdown closed the queues, ingests and pushes answer
+// 503 instead of applying beside the worker.
+func TestInMemorySyncIngestOrdersAfterQueued(t *testing.T) {
+	s := New(Config{IngestWorkers: 2, QueueDepth: 256})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	create(t, ts, SketchConfig{Name: "u", Kind: KindUnit, Bins: 64, Seed: 1})
+	create(t, ts, SketchConfig{Name: "w", Kind: KindWeighted, Bins: 64, Seed: 2})
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	var rows strings.Builder
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&rows, "item-%d\n", i%300)
+	}
+	const batches = 40
+	// Hold the entry lock so the queued batches back up behind it; a
+	// sync batch applied anywhere but behind them would then jump ahead.
+	e, _ := s.Registry().Get("u")
+	e.mu.Lock()
+	for i := 0; i < batches; i++ {
+		if code := post("/v1/sketches/u/ingest", rows.String()); code != http.StatusAccepted {
+			e.mu.Unlock()
+			t.Fatalf("async ingest %d: status %d", i, code)
+		}
+	}
+	syncCode := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/sketches/u/ingest?sync=1", "text/plain", strings.NewReader("last\n"))
+		if err != nil {
+			t.Error(err)
+			syncCode <- 0
+			return
+		}
+		resp.Body.Close()
+		syncCode <- resp.StatusCode
+	}()
+	time.Sleep(20 * time.Millisecond) // let the sync request reach the server
+	e.mu.Unlock()
+	if code := <-syncCode; code != http.StatusOK {
+		t.Fatalf("sync ingest: status %d", code)
+	}
+	if got, want := e.rows.Load(), int64(batches*2000+1); got != want {
+		t.Fatalf("after the sync 200: %d rows applied, want %d (every earlier 202 first)", got, want)
+	}
+
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/sketches/u/ingest", "/v1/sketches/u/ingest?sync=1"} {
+		if code := post(path, "late\n"); code != http.StatusServiceUnavailable {
+			t.Fatalf("%s after shutdown: status %d, want 503", path, code)
+		}
+	}
+	blob, err := uss.NewWeighted(8).AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := post("/v1/sketches/w/snapshot", string(blob)); code != http.StatusServiceUnavailable {
+		t.Fatalf("push after shutdown: status %d, want 503", code)
+	}
+	if got := e.rows.Load(); got != int64(batches*2000+1) {
+		t.Fatalf("a refused ingest applied: %d rows", got)
 	}
 }

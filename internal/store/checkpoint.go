@@ -156,7 +156,7 @@ func (s *Store) BeginCheckpoint() (*CheckpointWriter, error) {
 	}
 	s.cpGen++
 	gen := s.cpGen
-	base := s.segFirst + uint64(s.segRecs) - 1
+	base := s.lastLSN()
 	s.mu.Unlock()
 
 	tmp := filepath.Join(s.opts.Dir, fmt.Sprintf(".tmp-%s", cpDirName(gen)))

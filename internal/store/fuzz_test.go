@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // FuzzWALRecord feeds arbitrary bytes to the log scanner as a segment
@@ -57,12 +56,13 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add(append(append([]byte(nil), valid...), valid[8:]...)) // duplicated records
 
 	// Group-commit frames: many back-to-back ingest records written under
-	// one covering fsync (SyncInterval + GroupCommit). The on-disk shape a
-	// crashed commit group leaves behind is a run of whole frames with the
-	// last one possibly torn mid-write — recovery must salvage every whole
-	// frame of the group.
+	// one covering fsync (the default policy appends without fsyncing and
+	// leaves it to WaitDurable). The on-disk shape a crashed commit group
+	// leaves behind is a run of whole frames with the last one possibly
+	// torn mid-write — recovery must salvage every whole frame of the
+	// group.
 	gcDir := f.TempDir()
-	gst, err := Open(Options{Dir: gcDir, Sync: SyncInterval, SyncEvery: time.Hour, GroupCommit: true})
+	gst, err := Open(Options{Dir: gcDir})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -7,7 +7,8 @@ package store
 //     fsync covered the LSN, so everything acknowledged is on stable
 //     storage and replays after kill -9;
 //   - un-fsynced acks are never sent: while fsyncs stall or fail, no
-//     waiter unblocks — callers time out without acknowledging.
+//     waiter returns nil — it gets the fsync's error or times out, and
+//     its caller does not acknowledge.
 
 import (
 	"context"
@@ -19,9 +20,11 @@ import (
 	"repro/internal/faultinject"
 )
 
-func openGroupCommit(t *testing.T, every time.Duration) *Store {
+// openGroupCommit opens a store with the default policy, SyncAlways,
+// whose WaitDurable is group commit.
+func openGroupCommit(t *testing.T) *Store {
 	t.Helper()
-	st, err := Open(Options{Dir: t.TempDir(), Sync: SyncInterval, SyncEvery: every, GroupCommit: true})
+	st, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,16 +34,12 @@ func openGroupCommit(t *testing.T, every time.Duration) *Store {
 
 // TestGroupCommitAcksAfterSharedFsync appends a burst of batches and
 // waits on each: every wait must resolve with the synced watermark at or
-// past its LSN, and the whole burst must share far fewer fsyncs than a
-// SyncAlways run would issue (that is the amortization group commit
-// exists for).
+// past its LSN, and the whole burst must share fewer fsyncs than it has
+// batches (that is the amortization group commit exists for).
 func TestGroupCommitAcksAfterSharedFsync(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
-	st := openGroupCommit(t, 5*time.Millisecond)
-	if !st.AckAfterFsync() {
-		t.Fatal("AckAfterFsync = false on a group-commit store")
-	}
+	st := openGroupCommit(t)
 
 	const batches = 64
 	lsns := make([]uint64, batches)
@@ -77,12 +76,12 @@ func TestGroupCommitAcksAfterSharedFsync(t *testing.T) {
 	}
 }
 
-// TestGroupCommitStallFsyncDelaysAck stalls the interval fsync: the ack
+// TestGroupCommitStallFsyncDelaysAck stalls the waiter's fsync: the ack
 // must arrive only after the stalled flush completes, never before.
 func TestGroupCommitStallFsyncDelaysAck(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
-	st := openGroupCommit(t, time.Millisecond)
+	st := openGroupCommit(t)
 	// One stall (50ms) on the next fsync, then clean.
 	if err := faultinject.Enable("wal.stall-fsync:1:1"); err != nil {
 		t.Fatal(err)
@@ -107,12 +106,12 @@ func TestGroupCommitStallFsyncDelaysAck(t *testing.T) {
 
 // TestGroupCommitFailFsyncNeverAcks makes every fsync fail: the append
 // lands on the log, but no ack may be released while the failure lasts —
-// the waiter times out. Once fsyncs heal, the retrying flusher covers
-// the record and the same wait succeeds.
+// the waiter that runs the fsync gets its error. Once fsyncs heal, the
+// next waiter's fsync covers the record and the same wait succeeds.
 func TestGroupCommitFailFsyncNeverAcks(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
-	st := openGroupCommit(t, time.Millisecond)
+	st := openGroupCommit(t)
 	if err := faultinject.Enable("wal.fail-fsync"); err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +125,8 @@ func TestGroupCommitFailFsyncNeverAcks(t *testing.T) {
 	if err == nil {
 		t.Fatal("WaitDurable returned nil while every fsync fails: an un-fsynced record was acked")
 	}
-	if !strings.Contains(err.Error(), "deadline") {
-		t.Fatalf("WaitDurable error = %v, want a deadline timeout", err)
+	if !strings.Contains(err.Error(), "fsync: injected failure") {
+		t.Fatalf("WaitDurable error = %v, want the injected fsync failure", err)
 	}
 	if st.SyncedLSN() >= lsn {
 		t.Fatalf("SyncedLSN advanced to %d under failing fsyncs", st.SyncedLSN())
@@ -136,8 +135,8 @@ func TestGroupCommitFailFsyncNeverAcks(t *testing.T) {
 		t.Fatal("SyncErrors did not count the injected failures")
 	}
 
-	// Heal the disk: the flusher's retry (dirty stays armed on error)
-	// must cover the record without any new append.
+	// Heal the disk: the next wait retries the fsync and must cover the
+	// record without any new append.
 	faultinject.Reset()
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
@@ -154,7 +153,7 @@ func TestGroupCommitAckedRowsSurviveCrash(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 	dir := t.TempDir()
-	st, err := Open(Options{Dir: dir, Sync: SyncInterval, SyncEvery: time.Millisecond, GroupCommit: true})
+	st, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +173,8 @@ func TestGroupCommitAckedRowsSurviveCrash(t *testing.T) {
 	if err := st.WaitDurable(ctx, last); err != nil {
 		t.Fatalf("WaitDurable: %v", err)
 	}
-	// "Crash": stop the flusher goroutine so it cannot touch the files
-	// again, but skip Close's final sync — everything acked must already
-	// be durable.
-	close(st.loopDone)
-	st.loopWG.Wait()
-
+	// "Crash": abandon the store without Close, skipping its final
+	// sync — everything acked must already be durable.
 	rebuilt, err := Rebuild(dir)
 	if err != nil {
 		t.Fatalf("rebuild after crash: %v", err)
@@ -196,14 +191,14 @@ func TestGroupCommitAckedRowsSurviveCrash(t *testing.T) {
 	}
 }
 
-// TestWaitDurableSyncPolicies pins the policy matrix: SyncAlways acks
-// have already synced (fast path), SyncNever opts out entirely, and a
-// closed store fails waiters instead of hanging them.
+// TestWaitDurableSyncPolicies pins the policy matrix: a SyncAlways wait
+// advances the durable watermark past its LSN, SyncNever opts out
+// entirely, and Close does not leave waiters hanging.
 func TestWaitDurableSyncPolicies(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
 
-	always, err := Open(Options{Dir: t.TempDir(), Sync: SyncAlways, GroupCommit: true})
+	always, err := Open(Options{Dir: t.TempDir(), Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,9 +221,6 @@ func TestWaitDurableSyncPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer never.Close()
-	if never.AckAfterFsync() {
-		t.Fatal("AckAfterFsync = true under SyncNever")
-	}
 	if _, err := never.AppendIngest("s", []string{"a"}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -236,25 +228,95 @@ func TestWaitDurableSyncPolicies(t *testing.T) {
 		t.Fatalf("SyncNever WaitDurable must be a no-op, got %v", err)
 	}
 
-	closed := openGroupCommit(t, time.Hour) // flusher will never tick
+	// Two waiters across Close: the first runs a stalled fsync, the
+	// second waits for it, and Close lands during the stall.
+	closed := openGroupCommit(t)
+	if err := faultinject.Enable("wal.stall-fsync:1:1"); err != nil {
+		t.Fatal(err)
+	}
 	lsn, err = closed.AppendIngest("s", []string{"a"}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		done <- closed.WaitDurable(context.Background(), lsn)
-	}()
+	done := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			done <- closed.WaitDurable(context.Background(), lsn)
+		}()
+	}
 	time.Sleep(10 * time.Millisecond)
 	if err := closed.Close(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-done:
-		// Close fsyncs on the way out, so the waiter may legitimately
-		// see the record become durable; what it must not do is hang.
-		_ = err
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitDurable hung across Close")
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			// Close fsyncs on the way out, so the waiters may legitimately
+			// see the record become durable; what they must not do is hang.
+			_ = err
+		case <-time.After(5 * time.Second):
+			t.Fatal("WaitDurable hung across Close")
+		}
+	}
+}
+
+// TestGroupCommitAcrossRotation runs concurrent append+wait writers over
+// segments that hold two records each, so rotation keeps closing the
+// file a waiter is about to fsync outside the append mutex: the stalled
+// fsyncs hold their waiter between reading the file and syncing it while
+// the other writers rotate. Rotation fsyncs that file first, so every
+// wait must succeed, no failure may be counted, and every record must
+// replay.
+func TestGroupCommitAcrossRotation(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	if err := faultinject.Enable("wal.stall-fsync:1:3"); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := Open(Options{Dir: dir, SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendCreate([]byte(`{"name":"clicks","kind":"unit","bins":64}`)); err != nil {
+		t.Fatal(err)
+	}
+	const writers, each = 8, 40
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				lsn, err := st.AppendIngest("clicks", []string{"a"}, nil, nil)
+				if err == nil {
+					err = st.WaitDurable(context.Background(), lsn)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st.Metrics().Rotations.Load() == 0 {
+		t.Fatal("no rotation happened; the test exercised nothing")
+	}
+	if got := st.Metrics().SyncErrors.Load(); got != 0 {
+		t.Fatalf("SyncErrors = %d: a fsync of a retired segment counted as a failure", got)
+	}
+	if st.SyncedLSN() < st.LastLSN() {
+		t.Fatalf("SyncedLSN %d < LastLSN %d after every wait returned", st.SyncedLSN(), st.LastLSN())
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := Rebuild(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sk := rebuilt.Sketches["clicks"]; sk == nil || sk.Rows != writers*each {
+		t.Fatalf("recovered %+v, want %d rows", sk, writers*each)
 	}
 }

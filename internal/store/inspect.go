@@ -63,7 +63,7 @@ func Inspect(dir string, each func(rec *Record)) (*Report, error) {
 	if each != nil {
 		deliver = func(rec *Record) error { each(rec); return nil }
 	}
-	segs, lastLSN, err := scanLog(dir, deliver)
+	segs, lastLSN, _, err := scanLog(dir, deliver)
 	if err != nil {
 		return nil, err
 	}

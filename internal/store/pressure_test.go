@@ -1,10 +1,10 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 )
@@ -82,7 +82,7 @@ func TestSoftWatermarkReportsPressure(t *testing.T) {
 }
 
 // TestSyncAlwaysFsyncFailureSurfaces verifies a failed fsync under the
-// ack-after-fsync policy surfaces to the caller (the append is NOT
+// default policy surfaces from WaitDurable (the append is NOT
 // acknowledged) and is counted.
 func TestSyncAlwaysFsyncFailureSurfaces(t *testing.T) {
 	faultinject.Reset()
@@ -95,26 +95,33 @@ func TestSyncAlwaysFsyncFailureSurfaces(t *testing.T) {
 	if err := faultinject.Enable("wal.fail-fsync:1:1"); err != nil {
 		t.Fatal(err)
 	}
-	_, err = st.AppendCreate([]byte(`{"name":"a"}`))
-	if err == nil || !strings.Contains(err.Error(), "fsync") {
-		t.Fatalf("append with failing fsync = %v, want fsync error", err)
+	lsn, err := st.AppendCreate([]byte(`{"name":"a"}`))
+	if err != nil {
+		t.Fatalf("append must not fsync by itself: %v", err)
+	}
+	if err := st.WaitDurable(context.Background(), lsn); err == nil || !strings.Contains(err.Error(), "fsync") {
+		t.Fatalf("wait with failing fsync = %v, want fsync error", err)
 	}
 	if got := st.Metrics().SyncErrors.Load(); got != 1 {
 		t.Fatalf("SyncErrors = %d, want 1", got)
 	}
-	// Budget exhausted: the next append fsyncs clean.
-	if _, err := st.AppendCreate([]byte(`{"name":"b"}`)); err != nil {
-		t.Fatalf("append after fault budget drained: %v", err)
+	// Budget exhausted: the next wait fsyncs clean.
+	lsn, err = st.AppendCreate([]byte(`{"name":"b"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WaitDurable(context.Background(), lsn); err != nil {
+		t.Fatalf("wait after fault budget drained: %v", err)
 	}
 }
 
-// TestIntervalFsyncFailureRetries verifies the SyncInterval flusher does
-// not silently drop an interval when fsync fails: the dirty flag is
-// re-armed and the next tick retries until one succeeds.
-func TestIntervalFsyncFailureRetries(t *testing.T) {
+// TestFsyncFailureRetries verifies a failed fsync does not strand the
+// record: each wait runs one fsync, so with three injected failures the
+// first three waits fail and the fourth covers the record.
+func TestFsyncFailureRetries(t *testing.T) {
 	faultinject.Reset()
 	t.Cleanup(faultinject.Reset)
-	st, err := Open(Options{Dir: t.TempDir(), Sync: SyncInterval, SyncEvery: 5 * time.Millisecond})
+	st, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,18 +129,20 @@ func TestIntervalFsyncFailureRetries(t *testing.T) {
 	if err := faultinject.Enable("wal.fail-fsync:1:3"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AppendCreate([]byte(`{"name":"a"}`)); err != nil {
+	lsn, err := st.AppendCreate([]byte(`{"name":"a"}`))
+	if err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if st.Metrics().Syncs.Load() > 0 {
-			break
+	for i := 1; i <= 3; i++ {
+		if err := st.WaitDurable(context.Background(), lsn); err == nil {
+			t.Fatalf("wait %d succeeded inside the injected failure budget", i)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
-	if got := st.Metrics().Syncs.Load(); got == 0 {
-		t.Fatal("flusher never recovered from injected fsync failures")
+	if err := st.WaitDurable(context.Background(), lsn); err != nil {
+		t.Fatalf("wait 4 after the failure budget drained: %v", err)
+	}
+	if st.SyncedLSN() < lsn {
+		t.Fatalf("SyncedLSN = %d after a successful wait, want >= %d", st.SyncedLSN(), lsn)
 	}
 	if got := st.Metrics().SyncErrors.Load(); got != 3 {
 		t.Fatalf("SyncErrors = %d, want 3 (the injected budget)", got)

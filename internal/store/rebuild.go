@@ -44,7 +44,8 @@ type RecoverStats struct {
 	// gate) or targeted a missing sketch.
 	Applied, Skipped int
 	// TornTail reports whether replay stopped at damage (a torn tail
-	// after a crash, or mid-log corruption).
+	// after a crash, mid-log corruption, or a record that passes its CRC
+	// but does not decode).
 	TornTail bool
 	// Warnings lists non-fatal oddities (unknown names, duplicate
 	// creates, undecodable snapshots), capped at a few dozen.
@@ -339,7 +340,7 @@ func Rebuild(dir string) (*RebuildResult, error) {
 	if err := a.LoadCheckpoint(dir); err != nil {
 		return nil, err
 	}
-	segs, lastLSN, err := scanLog(dir, func(rec *Record) error {
+	segs, lastLSN, stop, err := scanLog(dir, func(rec *Record) error {
 		a.Apply(rec)
 		return nil
 	})
@@ -352,6 +353,11 @@ func Rebuild(dir string) (*RebuildResult, error) {
 		if segs[i].torn {
 			a.Stats.TornTail = true
 		}
+	}
+	if stop != nil {
+		a.Stats.TornTail = true
+		a.Stats.warnf("lsn %d: record passes its CRC but does not decode (%v); replay stopped there, %d records through lsn %d not applied",
+			stop.lsn, stop.err, lastLSN-stop.lsn+1, lastLSN)
 	}
 	return &RebuildResult{Sketches: a.Sketches, Stats: a.Stats}, nil
 }

@@ -11,7 +11,7 @@ import (
 // derivation Open uses). A follower preparing its data dir uses it to
 // pick the stream position before the store exists.
 func DirNextLSN(dir string) (uint64, error) {
-	_, lastLSN, err := scanLog(dir, nil)
+	_, lastLSN, _, err := scanLog(dir, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -46,7 +46,7 @@ func (s *Store) NextLSN() uint64 {
 func (s *Store) WaitForLSN(ctx context.Context, lsn uint64) (uint64, bool) {
 	for {
 		s.mu.Lock()
-		last := s.segFirst + uint64(s.segRecs) - 1
+		last := s.lastLSN()
 		closed := s.closed
 		ch := s.notify
 		s.mu.Unlock()

@@ -114,15 +114,24 @@ func scanSegment(seg *segmentInfo, fn func(lsn uint64, payload []byte) error) er
 	return nil
 }
 
+// undecodable is where a scan stopped delivering records: the LSN of a
+// record that passed its CRC but failed to decode, and the decode error.
+type undecodable struct {
+	lsn uint64
+	err error
+}
+
 // scanLog scans every segment in order. Replay stops at the first torn or
 // corrupt segment (later segments are reported but their records are not
 // delivered — after damage the LSN sequence cannot be trusted), matching
 // the recovery contract: salvage the valid prefix, never panic. Records
 // from overlapping segments (lsn ≤ an already-delivered lsn) are skipped.
-func scanLog(dir string, fn func(rec *Record) error) (segs []segmentInfo, lastLSN uint64, err error) {
+// A record that passes its CRC but fails to decode stops delivery the
+// same way; stop reports it (nil when fn is nil or every record decoded).
+func scanLog(dir string, fn func(rec *Record) error) (segs []segmentInfo, lastLSN uint64, stop *undecodable, err error) {
 	segs, err = listSegments(dir)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	stopped := false
 	var rec Record
@@ -141,12 +150,13 @@ func scanLog(dir string, fn func(rec *Record) error) (segs []segmentInfo, lastLS
 				// A framed record that fails semantic decode is treated
 				// like corruption: stop delivering, keep counting.
 				stopped = true
+				stop = &undecodable{lsn: lsn, err: derr}
 				return nil
 			}
 			return fn(&rec)
 		})
 		if scanErr != nil {
-			return segs, lastLSN, scanErr
+			return segs, lastLSN, stop, scanErr
 		}
 		if seg.lastLSN() > lastLSN {
 			lastLSN = seg.lastLSN()
@@ -155,7 +165,7 @@ func scanLog(dir string, fn func(rec *Record) error) (segs []segmentInfo, lastLS
 			stopped = true
 		}
 	}
-	return segs, lastLSN, nil
+	return segs, lastLSN, stop, nil
 }
 
 // fsyncDir fsyncs a directory so entry creation/removal is durable.

@@ -19,13 +19,13 @@ import (
 // SyncPolicy selects when appends reach stable storage.
 type SyncPolicy int
 
-// The three fsync policies. SyncAlways fsyncs before every append
-// returns — an acknowledged record survives power loss. SyncInterval
-// fsyncs on a timer (Options.SyncEvery), bounding loss to one interval.
-// SyncNever leaves flushing to the OS page cache.
+// The two fsync policies. Under SyncAlways an append does not fsync by
+// itself: WaitDurable is the ack gate, and the waiter that finds its
+// LSN uncovered runs one fsync for everything appended so far (group
+// commit, groupcommit.go), so an acknowledged record survives power
+// loss. SyncNever leaves flushing to the OS page cache.
 const (
 	SyncAlways SyncPolicy = iota
-	SyncInterval
 	SyncNever
 )
 
@@ -34,8 +34,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncInterval:
-		return "interval"
 	case SyncNever:
 		return "never"
 	default:
@@ -43,17 +41,15 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// ParseSyncPolicy parses the -fsync flag values always|interval|never.
+// ParseSyncPolicy parses the -fsync flag values always|never.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "interval":
-		return SyncInterval, nil
 	case "never":
 		return SyncNever, nil
 	default:
-		return 0, fmt.Errorf("store: unknown fsync policy %q (want always, interval or never)", s)
+		return 0, fmt.Errorf("store: unknown fsync policy %q (want always or never)", s)
 	}
 }
 
@@ -63,8 +59,6 @@ type Options struct {
 	Dir string
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
-	// SyncEvery is the SyncInterval flush period (default 100ms).
-	SyncEvery time.Duration
 	// SegmentBytes rotates the active segment past this size (default
 	// 64 MiB).
 	SegmentBytes int64
@@ -79,14 +73,6 @@ type Options struct {
 	// while healthy; degraded stores probe on every append so recovery
 	// is prompt (default 64).
 	DiskCheckEvery int
-	// GroupCommit makes the store's owner acknowledge appends only after
-	// a covering fsync (gate acks on WaitDurable). Meaningful with
-	// SyncInterval, where one interval fsync covers every append since
-	// the previous one — the group commit that amortizes the per-batch
-	// fsync cost of SyncAlways while keeping its "an acked record
-	// survives power loss" guarantee. SyncAlways already acks after
-	// fsync; under SyncNever WaitDurable is a no-op.
-	GroupCommit bool
 	// FsyncHist, when non-nil, receives every active-segment fsync's
 	// latency in nanoseconds (exported as a /metrics histogram).
 	FsyncHist *obs.Histogram
@@ -99,9 +85,6 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 100 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 64 << 20
 	}
@@ -136,8 +119,8 @@ type Metrics struct {
 	Rotations atomic.Int64
 	// Checkpoints counts committed checkpoint generations.
 	Checkpoints atomic.Int64
-	// SyncErrors counts fsyncs that failed (the interval flusher
-	// retries on the next tick; SyncAlways appends report the error).
+	// SyncErrors counts fsyncs that failed (the waiter that ran one
+	// reports the error; the next waiter retries).
 	SyncErrors atomic.Int64
 	// DiskSoftTrips counts transitions into DiskSoft pressure.
 	DiskSoftTrips atomic.Int64
@@ -145,8 +128,8 @@ type Metrics struct {
 	DiskHardTrips atomic.Int64
 	// ReadOnlyRejects counts appends refused with ErrReadOnly.
 	ReadOnlyRejects atomic.Int64
-	// DurableWaits counts WaitDurable calls that actually blocked on an
-	// fsync (group-commit acks that waited for the interval flusher).
+	// DurableWaits counts WaitDurable calls that found their LSN not yet
+	// covered and so ran or waited for an fsync.
 	DurableWaits atomic.Int64
 }
 
@@ -170,14 +153,11 @@ type Store struct {
 	notify chan struct{} // closed and replaced on every append (WaitForLSN)
 
 	syncedLSN  atomic.Uint64 // highest LSN covered by a successful fsync
-	syncNotify chan struct{} // closed and replaced when syncedLSN advances (WaitDurable)
+	syncing    bool          // a WaitDurable fsync is in flight; guarded by mu
+	syncNotify chan struct{} // closed and replaced when that fsync ends (WaitDurable)
 
 	pressure   atomic.Int32 // disk pressure level (pressure.go)
 	sinceCheck int          // appends since the last free-space probe; guarded by mu
-
-	dirty    atomic.Bool // unsynced appends (SyncInterval)
-	loopDone chan struct{}
-	loopWG   sync.WaitGroup
 }
 
 // Open prepares dir for appending: it creates the directory layout if
@@ -193,11 +173,11 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(walDir(opts.Dir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	segs, lastLSN, err := scanLog(opts.Dir, nil)
+	segs, lastLSN, _, err := scanLog(opts.Dir, nil)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{opts: opts, loopDone: make(chan struct{}), notify: make(chan struct{}), syncNotify: make(chan struct{})}
+	s := &Store{opts: opts, notify: make(chan struct{}), syncNotify: make(chan struct{})}
 	s.cpGen = latestCheckpointGen(opts.Dir)
 
 	// A data dir with a checkpoint but no log (a follower that just
@@ -255,11 +235,6 @@ func Open(opts Options) (*Store, error) {
 	// Seed the pressure state so a store opened on an already-full disk
 	// refuses appends from the first call instead of the 65th.
 	s.checkDisk()
-
-	if opts.Sync == SyncInterval {
-		s.loopWG.Add(1)
-		go s.syncLoop()
-	}
 	return s, nil
 }
 
@@ -349,14 +324,6 @@ func (s *Store) append(frame []byte) (uint64, error) {
 	s.segRecs++
 	s.met.Appends.Add(1)
 	s.met.Bytes.Add(int64(len(frame)))
-	switch s.opts.Sync {
-	case SyncAlways:
-		if err := s.syncActive(); err != nil {
-			return 0, fmt.Errorf("store: fsync record: %w", err)
-		}
-	case SyncInterval:
-		s.dirty.Store(true)
-	}
 	// Wake WAL-stream long-polls blocked in WaitForLSN.
 	close(s.notify)
 	s.notify = make(chan struct{})
@@ -447,38 +414,51 @@ func (s *Store) AppendSnapshot(name string, reduction byte, blob []byte) (uint64
 	return s.append(s.buf)
 }
 
-// Sync flushes the active segment to stable storage.
+// Sync flushes the active segment to stable storage, holding the
+// append mutex throughout.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.f == nil {
 		return nil
 	}
-	return s.syncActive()
+	last := s.lastLSN()
+	took, err := fsyncFile(s.f)
+	return s.finishSync(last, took, err)
 }
 
-// syncActive fsyncs the active segment, counting successes and failures,
-// honoring the wal.stall-fsync and wal.fail-fsync faultpoints, and
-// advancing the durable watermark WaitDurable gates on. Caller holds mu.
-func (s *Store) syncActive() error {
+// fsyncFile fsyncs f, honoring the wal.stall-fsync and wal.fail-fsync
+// faultpoints, and reports how long the fsync itself took. It needs no
+// lock: WaitDurable runs it outside mu.
+func fsyncFile(f *os.File) (time.Duration, error) {
 	faultinject.Sleep("wal.stall-fsync", 50*time.Millisecond)
 	if faultinject.Hit("wal.fail-fsync") {
-		s.met.SyncErrors.Add(1)
-		s.opts.Log.Warn("fsync failed", "err", "injected failure", "lsn", s.segFirst+uint64(s.segRecs)-1)
-		return fmt.Errorf("store: fsync: injected failure")
+		return 0, fmt.Errorf("injected failure")
 	}
 	start := time.Now()
-	if err := s.f.Sync(); err != nil {
+	err := f.Sync()
+	return time.Since(start), err
+}
+
+// finishSync accounts for one fsync of the active segment that covered
+// every record through last: on success it counts the fsync and its
+// group size and advances the durable watermark; on failure it counts
+// and logs the error. A failure is moot, and not counted, when the
+// watermark already covers last: another fsync made those records
+// durable first, as rotation and Close do before closing the file a
+// waiter may still be syncing. Caller holds mu.
+func (s *Store) finishSync(last uint64, took time.Duration, err error) error {
+	if err != nil {
+		if s.syncedLSN.Load() >= last {
+			return nil
+		}
 		s.met.SyncErrors.Add(1)
-		s.opts.Log.Warn("fsync failed", "err", err, "lsn", s.segFirst+uint64(s.segRecs)-1)
-		return err
+		s.opts.Log.Warn("fsync failed", "err", err, "lsn", last)
+		return fmt.Errorf("store: fsync: %w", err)
 	}
-	s.opts.FsyncHist.Record(int64(time.Since(start)))
+	s.opts.FsyncHist.Record(int64(took))
 	s.met.Syncs.Add(1)
-	last := s.segFirst + uint64(s.segRecs) - 1
 	if covered := int64(last) - int64(s.syncedLSN.Load()); covered > 0 {
-		// The batch this fsync made durable — 1 under SyncAlways, the
-		// whole inter-tick window under group commit.
 		s.opts.GroupCommitHist.Record(covered)
 	}
 	s.markSynced(last)
@@ -486,22 +466,22 @@ func (s *Store) syncActive() error {
 }
 
 // markSynced records that every LSN up to and including last is on
-// stable storage and wakes WaitDurable waiters. Caller holds mu (or is
-// single-threaded in Open).
+// stable storage. Caller holds mu (or is single-threaded in Open).
 func (s *Store) markSynced(last uint64) {
-	if last == 0 || last <= s.syncedLSN.Load() {
-		return
+	if last > s.syncedLSN.Load() {
+		s.syncedLSN.Store(last)
 	}
-	s.syncedLSN.Store(last)
-	close(s.syncNotify)
-	s.syncNotify = make(chan struct{})
 }
+
+// lastLSN returns the highest assigned LSN (0 when the log is empty).
+// Caller holds mu.
+func (s *Store) lastLSN() uint64 { return s.segFirst + uint64(s.segRecs) - 1 }
 
 // LastLSN returns the highest assigned LSN (0 when the log is empty).
 func (s *Store) LastLSN() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.segFirst + uint64(s.segRecs) - 1
+	return s.lastLSN()
 }
 
 // Dir returns the store's data directory.
@@ -533,8 +513,8 @@ func (s *Store) Metrics() *Metrics { return &s.met }
 // afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
@@ -542,51 +522,18 @@ func (s *Store) Close() error {
 	s.notify = make(chan struct{})
 	close(s.syncNotify)
 	s.syncNotify = make(chan struct{})
-	s.mu.Unlock()
-	if s.opts.Sync == SyncInterval {
-		close(s.loopDone)
-		s.loopWG.Wait()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.f == nil {
 		return nil
 	}
 	err := s.f.Sync()
 	if err == nil {
-		s.markSynced(s.segFirst + uint64(s.segRecs) - 1)
+		s.markSynced(s.lastLSN())
 	}
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}
 	s.f = nil
 	return err
-}
-
-// syncLoop is the SyncInterval flusher.
-func (s *Store) syncLoop() {
-	defer s.loopWG.Done()
-	t := time.NewTicker(s.opts.SyncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.loopDone:
-			return
-		case <-t.C:
-			if s.dirty.Swap(false) {
-				s.mu.Lock()
-				if !s.closed && s.f != nil {
-					if err := s.syncActive(); err != nil {
-						// The appends are still unflushed: re-arm dirty
-						// so the next tick retries instead of silently
-						// dropping the interval's durability.
-						s.dirty.Store(true)
-					}
-				}
-				s.mu.Unlock()
-			}
-		}
-	}
 }
 
 // sealFrameHeader writes the length+CRC header into a frame's reserved

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	uss "repro"
@@ -340,6 +341,53 @@ func TestCorruptMiddleRecordStopsReplay(t *testing.T) {
 	}
 }
 
+// TestRebuildReportsUndecodableRecord: a record that passes its CRC but
+// fails to decode stops replay like damage does, and recovery says so —
+// TornTail is set and a warning names the LSN, the decode error and how
+// many records were not applied — instead of booting silently without
+// every later record.
+func TestRebuildReportsUndecodableRecord(t *testing.T) {
+	dir := t.TempDir()
+	st := mustOpen(t, dir, nil)
+	if _, err := st.AppendCreate(mustJSON(t, SketchSpec{Name: "x", Kind: "unit", Bins: 16})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendIngest("x", []string{"a", "b"}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendCreate([]byte("{}")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendIngest("x", []string{"c"}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := Rebuild(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb := res.Sketches["x"]; rb == nil || rb.Rows != 2 {
+		t.Fatalf("sketch x = %+v, want the 2 rows before the undecodable record", rb)
+	}
+	if res.Stats.LastLSN != 4 || res.Stats.Applied != 2 {
+		t.Fatalf("LastLSN %d, Applied %d; want 4 and 2", res.Stats.LastLSN, res.Stats.Applied)
+	}
+	if !res.Stats.TornTail {
+		t.Fatal("replay stopped at an undecodable record without setting TornTail")
+	}
+	if len(res.Stats.Warnings) != 1 {
+		t.Fatalf("warnings = %q, want exactly one", res.Stats.Warnings)
+	}
+	for _, want := range []string{"lsn 3", "create record without a name", "2 records through lsn 4 not applied"} {
+		if !strings.Contains(res.Stats.Warnings[0], want) {
+			t.Fatalf("warning %q does not name %q", res.Stats.Warnings[0], want)
+		}
+	}
+}
+
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	st := mustOpen(t, dir, func(o *Options) { o.SegmentBytes = 128 })
@@ -400,7 +448,7 @@ func TestInspectReport(t *testing.T) {
 }
 
 func TestSyncPolicies(t *testing.T) {
-	for _, name := range []string{"always", "interval", "never"} {
+	for _, name := range []string{"always", "never"} {
 		p, err := ParseSyncPolicy(name)
 		if err != nil {
 			t.Fatal(err)
@@ -409,7 +457,7 @@ func TestSyncPolicies(t *testing.T) {
 			t.Fatalf("policy %q round-trips to %q", name, p.String())
 		}
 		dir := t.TempDir()
-		st := mustOpen(t, dir, func(o *Options) { o.Sync = p; o.SyncEvery = 1 })
+		st := mustOpen(t, dir, func(o *Options) { o.Sync = p })
 		appendAll(t, st, "x", [][]string{{"a"}})
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
@@ -424,6 +472,11 @@ func TestSyncPolicies(t *testing.T) {
 	}
 	if _, err := ParseSyncPolicy("sometimes"); err == nil {
 		t.Fatal("bad policy accepted")
+	}
+	// The timer policy is gone: always is group commit.
+	if _, err := ParseSyncPolicy("interval"); err == nil ||
+		!strings.Contains(err.Error(), "always") || !strings.Contains(err.Error(), "never") {
+		t.Fatalf("ParseSyncPolicy(interval) = %v, want an error naming always and never", err)
 	}
 }
 

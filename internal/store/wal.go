@@ -41,12 +41,14 @@
 //
 // # Durability contract
 //
-// With Options.Sync == SyncAlways every append returns only after fsync,
-// so a record the caller acknowledged is on stable storage. SyncInterval
-// bounds loss to Options.SyncEvery; SyncNever leaves flushing to the OS.
-// Checkpoint commits always fsync their files and directories and install
-// the manifest atomically, so a crash mid-checkpoint leaves the previous
-// generation (and the un-truncated log) authoritative.
+// With Options.Sync == SyncAlways a caller acknowledges a record only
+// after WaitDurable returns for its LSN, so a record the caller
+// acknowledged is on stable storage; one fsync covers every record
+// appended before it started (group commit, groupcommit.go). SyncNever
+// leaves flushing to the OS. Checkpoint commits always fsync their files
+// and directories and install the manifest atomically, so a crash
+// mid-checkpoint leaves the previous generation (and the un-truncated
+// log) authoritative.
 package store
 
 import (

@@ -4,14 +4,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // scannedSegments scans dir's log and returns the per-segment reports
 // with sizes and record counts filled in.
 func scannedSegments(t *testing.T, dir string) []segmentInfo {
 	t.Helper()
-	segs, _, err := scanLog(dir, nil)
+	segs, _, _, err := scanLog(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,27 +115,21 @@ func TestRotationAtExactSegmentBoundary(t *testing.T) {
 	}
 }
 
-// TestSyncIntervalFlushOrdering pins the interval-fsync contract: an
-// append acks without waiting for an fsync (Syncs stays flat), the data
-// still reaches the OS file (recovery of a live dir sees it), the
-// background loop flushes dirty state on its tick, and rotation fsyncs
-// the outgoing segment even between ticks.
-func TestSyncIntervalFlushOrdering(t *testing.T) {
+// TestAppendDefersFsync pins the append side of group commit: an append
+// returns without an fsync (Syncs stays flat; WaitDurable is the ack
+// gate), the data still reaches the OS file (recovery of a live dir sees
+// it), an explicit Sync flushes, and rotation fsyncs the outgoing
+// segment with no waiter in sight.
+func TestAppendDefersFsync(t *testing.T) {
 	dir := t.TempDir()
-	st := mustOpen(t, dir, func(o *Options) {
-		o.Sync = SyncInterval
-		o.SyncEvery = time.Hour // the loop must not fire during the test
-	})
+	st := mustOpen(t, dir, func(o *Options) { o.Sync = SyncAlways })
 	defer st.Close()
 
 	if _, err := st.AppendIngest("x", []string{"one"}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := st.Metrics().Syncs.Load(); n != 0 {
-		t.Fatalf("interval append fsynced inline (%d syncs): ack must not wait for the flusher", n)
-	}
-	if !st.dirty.Load() {
-		t.Fatal("append did not mark the store dirty for the flusher")
+		t.Fatalf("append fsynced inline (%d syncs): the fsync belongs to WaitDurable", n)
 	}
 	// The record is in the file (OS cache) before any fsync: a crash of
 	// the process — not the machine — loses nothing.
@@ -144,7 +137,7 @@ func TestSyncIntervalFlushOrdering(t *testing.T) {
 		t.Fatalf("pre-fsync inspect: LastLSN %d, err %v; want 1", rep.LastLSN, err)
 	}
 
-	// An explicit Sync flushes regardless of the interval.
+	// An explicit Sync flushes with no waiter.
 	if err := st.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +145,12 @@ func TestSyncIntervalFlushOrdering(t *testing.T) {
 		t.Fatalf("explicit Sync: %d syncs, want 1", n)
 	}
 
-	// Rotation must fsync the outgoing segment even with the flusher
-	// idle: the old segment is immutable history the moment a new one
-	// starts, so it cannot sit dirty forever.
+	// Rotation must fsync the outgoing segment even with no waiter: the
+	// old segment is immutable history the moment a new one starts, so
+	// it cannot sit unsynced forever.
 	d := ingestRecordSize(t)
 	st2 := mustOpen(t, t.TempDir(), func(o *Options) {
-		o.Sync = SyncInterval
-		o.SyncEvery = time.Hour
+		o.Sync = SyncAlways
 		o.SegmentBytes = int64(len(segMagic)) + d // one record fills a segment
 	})
 	defer st2.Close()
@@ -170,6 +162,9 @@ func TestSyncIntervalFlushOrdering(t *testing.T) {
 	}
 	if st2.Metrics().Rotations.Load() != 1 {
 		t.Fatalf("rotations = %d, want 1", st2.Metrics().Rotations.Load())
+	}
+	if got := st2.SyncedLSN(); got != 1 {
+		t.Fatalf("SyncedLSN after rotation = %d, want 1 (the retired segment's record)", got)
 	}
 }
 
