@@ -358,7 +358,6 @@ func (f *Follower) run(ctx context.Context) {
 			continue
 		}
 		lastContact = time.Now()
-		bo.Reset()
 
 		if res.Epoch > srv.Epoch() {
 			// The primary promoted (or restarted onto a newer timeline)
@@ -382,7 +381,7 @@ func (f *Follower) run(ctx context.Context) {
 			}
 		}
 
-		applied := from - 1
+		applied, failed := from-1, false
 		frames := res.Frames
 		for len(frames) > 0 {
 			lsn, payload, rest, err := server.CutStreamFrame(frames)
@@ -406,7 +405,8 @@ func (f *Follower) run(ctx context.Context) {
 					log.Info("promoted mid-apply; replication loop exiting")
 					return
 				}
-				log.Warn("apply failed; re-requesting", "lsn", lsn, "err", err)
+				log.Warn("apply failed; backing off", "lsn", lsn, "err", err)
+				failed = true
 				break
 			}
 			applied = lsn
@@ -420,6 +420,20 @@ func (f *Follower) run(ctx context.Context) {
 		if lag == 0 && !srv.Ready() {
 			srv.SetReady(true)
 			log.Info("caught up; ready", "primary", f.opts.Primary, "lsn", applied)
+		}
+		// Gaps and bad frames re-request at once (the primary resends).
+		// A failed apply backs off: one that repeats — a read-only disk —
+		// would otherwise re-request in a hot loop, since the primary
+		// answers at once while records exist at from.
+		if !failed || applied >= from {
+			bo.Reset()
+		}
+		if failed {
+			select {
+			case <-ctx.Done():
+				return
+			case <-time.After(bo.Next()):
+			}
 		}
 	}
 }

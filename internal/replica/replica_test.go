@@ -1,15 +1,19 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	uss "repro"
+	"repro/internal/faultinject"
 	"repro/internal/server"
 	"repro/internal/store"
 )
@@ -121,30 +125,96 @@ func followerOpts(n *node, primary string) Options {
 	}
 }
 
+// sameState requires every named sketch's exact state blob and counters
+// on the follower to equal the primary's, byte for byte. It polls: the
+// follower logs a record before its entry's worker applies it, so its
+// log position can lead its state for a moment.
+func sameState(t *testing.T, when string, f, p *node, names ...string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, name := range names {
+		for {
+			_, pst, pblob, err := p.srv.SketchState(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, fst, fblob, err := f.srv.SketchState(name)
+			if err != nil {
+				t.Fatalf("%s: follower: %v", when, err)
+			}
+			if fst == pst && bytes.Equal(fblob, pblob) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: follower's %q diverges: counters %+v vs primary %+v, state blobs equal %v",
+					when, name, fst, pst, bytes.Equal(fblob, pblob))
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
+// pushSnapshot pushes a seeded weighted agent's snapshot into name.
+func pushSnapshot(t *testing.T, n *node, name string, seed int64, items ...string) {
+	t.Helper()
+	agent := uss.NewWeighted(16, uss.WithSeed(seed))
+	for i, it := range items {
+		agent.Update(it, float64(i+1))
+	}
+	blob, err := agent.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body := httpDo(t, "POST", n.ts.URL+"/v1/sketches/"+name+"/snapshot", string(blob))
+	if code != http.StatusOK {
+		t.Fatalf("push: status %d: %s", code, body)
+	}
+}
+
 // TestFollowerCatchUpAndTail boots a primary with history (checkpoint +
-// log tail), attaches a fresh follower, and requires: bundle + stream
-// catch-up, live tailing of new writes, byte-identical top-k, and the
-// follower's mutation endpoints refusing while read endpoints serve.
+// log tail) in every sketch kind, weighted pushes included, attaches a
+// fresh follower, and requires: bundle + stream catch-up, live tailing
+// of new writes, byte-identical sketch state, and the follower's
+// mutation endpoints refusing while read endpoints serve. Every sketch
+// stays under capacity: a restored sketch draws fresh randomness, so
+// only eviction-free states are byte-comparable after a bundle install.
 func TestFollowerCatchUpAndTail(t *testing.T) {
 	p := boot(t, t.TempDir(), false)
 	defer p.stop(t)
 
-	code, body := httpDo(t, "POST", p.ts.URL+"/v1/sketches", `{"name":"clicks","kind":"unit","bins":64,"seed":7}`)
-	if code != http.StatusCreated {
-		t.Fatalf("create: status %d: %s", code, body)
+	names := []string{"clicks", "w", "s", "r"}
+	for _, cfg := range []string{
+		`{"name":"clicks","kind":"unit","bins":64,"seed":7}`,
+		`{"name":"w","kind":"weighted","bins":64,"seed":8}`,
+		`{"name":"s","kind":"sharded","bins":64,"shards":4,"seed":9}`,
+		`{"name":"r","kind":"rollup","bins":64,"window_length":10,"seed":10}`,
+	} {
+		if code, body := httpDo(t, "POST", p.ts.URL+"/v1/sketches", cfg); code != http.StatusCreated {
+			t.Fatalf("create: status %d: %s", code, body)
+		}
 	}
-	var rows strings.Builder
+	var rows, weighted, timed strings.Builder
 	for i := 0; i < 300; i++ {
 		fmt.Fprintf(&rows, "item-%d\n", i%20)
+		fmt.Fprintf(&weighted, "item-%d\t%d\n", i%20, 1+i%3)
+		fmt.Fprintf(&timed, "item-%d\t%d\n", i%20, i/10)
 	}
-	mustIngest(t, p, "clicks", rows.String())
+	history := func() {
+		mustIngest(t, p, "clicks", rows.String())
+		mustIngest(t, p, "w", weighted.String())
+		mustIngest(t, p, "s", rows.String())
+		mustIngest(t, p, "r", timed.String())
+	}
+	history()
+	pushSnapshot(t, p, "w", 11, "item-1", "pushed-a")
 
 	// Checkpoint, then more traffic: catch-up must install the bundle
 	// AND replay the tail past it.
 	if err := p.srv.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	mustIngest(t, p, "clicks", rows.String())
+	history()
+	pushSnapshot(t, p, "w", 12, "item-2", "pushed-b")
 
 	fdir := t.TempDir()
 	if err := PrepareDataDir(context.Background(), Options{Primary: p.ts.URL, DataDir: fdir}); err != nil {
@@ -159,13 +229,19 @@ func TestFollowerCatchUpAndTail(t *testing.T) {
 	defer fol.Stop()
 
 	waitCaughtUp(t, f, p)
+	sameState(t, "after catch-up", f, p, names...)
 	if got, want := topkBody(t, f, "clicks", 20), topkBody(t, p, "clicks", 20); got != want {
 		t.Fatalf("follower top-k diverges after catch-up:\n  follower: %s\n  primary:  %s", got, want)
 	}
 
 	// Live tail: new primary writes appear on the follower.
 	mustIngest(t, p, "clicks", "tail-item\ntail-item\n")
+	mustIngest(t, p, "w", "tail-item\t2.5\n")
+	mustIngest(t, p, "s", "tail-item\n")
+	mustIngest(t, p, "r", "tail-item\t45\n")
+	pushSnapshot(t, p, "w", 13, "pushed-c")
 	waitCaughtUp(t, f, p)
+	sameState(t, "after tailing", f, p, names...)
 	if got, want := topkBody(t, f, "clicks", 25), topkBody(t, p, "clicks", 25); got != want {
 		t.Fatalf("follower top-k diverges after tailing:\n  follower: %s\n  primary:  %s", got, want)
 	}
@@ -180,6 +256,57 @@ func TestFollowerCatchUpAndTail(t *testing.T) {
 	if code, _ := httpDo(t, "GET", f.ts.URL+"/readyz", ""); code != http.StatusOK {
 		t.Fatalf("caught-up follower not ready: status %d", code)
 	}
+}
+
+// TestFollowerBacksOffFailedApplies: a follower whose every append fails
+// (its disk reads full, so the log is read-only) must back off instead
+// of re-requesting the stream in a hot loop — the primary answers at once
+// while records exist at the follower's position — and must catch up
+// once the disk recovers.
+func TestFollowerBacksOffFailedApplies(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	p := boot(t, t.TempDir(), false)
+	defer p.stop(t)
+	if code, body := httpDo(t, "POST", p.ts.URL+"/v1/sketches", `{"name":"clicks","kind":"unit","bins":64,"seed":7}`); code != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", code, body)
+	}
+	mustIngest(t, p, "clicks", "a\nb\na\n")
+	var streamed atomic.Int64
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/replication/wal" {
+			streamed.Add(1)
+		}
+		p.ts.Config.Handler.ServeHTTP(w, r)
+	}))
+	defer front.Close()
+
+	fdir := t.TempDir()
+	if err := PrepareDataDir(context.Background(), Options{Primary: front.URL, DataDir: fdir}); err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.Enable("disk.enospc"); err != nil {
+		t.Fatal(err)
+	}
+	f := boot(t, fdir, true)
+	defer f.stop(t)
+	before := streamed.Load()
+	fol, err := Start(followerOpts(f, front.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fol.Stop()
+	time.Sleep(time.Second)
+	if n := streamed.Load() - before; n >= 20 {
+		t.Fatalf("follower sent %d stream requests in 1s while every apply failed", n)
+	}
+	if next := f.srv.WALNextLSN(); next != 1 {
+		t.Fatalf("read-only follower logged records: next LSN %d", next)
+	}
+
+	faultinject.Reset()
+	waitCaughtUp(t, f, p)
+	sameState(t, "after the disk recovered", f, p, "clicks")
 }
 
 // TestPromoteAndRejoinMergesTail covers the failover round-trip: the

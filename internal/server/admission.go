@@ -149,7 +149,7 @@ func (e *entry) takeTokens(n, rate, burst float64) (bool, time.Duration) {
 
 // ensureLive stamps the entry's access time and, when it was demoted,
 // restores its sketch from the cold blob. Every path that touches an
-// entry's sketch pointers goes through here first.
+// entry's sketch goes through here first.
 func (s *Server) ensureLive(e *entry) error {
 	e.lastAccess.Store(time.Now().UnixNano())
 	if !e.cold.Load() {
@@ -160,26 +160,20 @@ func (s *Server) ensureLive(e *entry) error {
 	if !e.cold.Load() {
 		return nil
 	}
+	var rb *store.RebuiltSketch
 	blob, err := os.ReadFile(e.coldPath)
+	if err == nil {
+		rb, err = store.NewRebuilt(specFromConfig(e.cfg))
+	}
+	if err == nil && len(blob) > 0 {
+		err = rb.RestoreState(blob)
+	}
 	if err != nil {
 		s.met.reviveErrors.Add(1)
 		s.log.Warn("sketch revive failed", "sketch", e.cfg.Name, "err", err)
 		return fmt.Errorf("revive sketch %q: %w", e.cfg.Name, err)
 	}
-	rb, err := store.NewRebuilt(specFromConfig(e.cfg))
-	if err != nil {
-		s.met.reviveErrors.Add(1)
-		s.log.Warn("sketch revive failed", "sketch", e.cfg.Name, "err", err)
-		return fmt.Errorf("revive sketch %q: %w", e.cfg.Name, err)
-	}
-	if len(blob) > 0 {
-		if err := rb.RestoreState(blob); err != nil {
-			s.met.reviveErrors.Add(1)
-			s.log.Warn("sketch revive failed", "sketch", e.cfg.Name, "err", err)
-			return fmt.Errorf("revive sketch %q: %w", e.cfg.Name, err)
-		}
-	}
-	e.unit, e.weighted, e.sharded, e.rollup = rb.Unit, rb.Weighted, rb.Sharded, rb.Rollup
+	e.sk = rb
 	e.gen = rand.Uint64()
 	e.cold.Store(false)
 	_ = os.Remove(e.coldPath)
@@ -187,24 +181,23 @@ func (s *Server) ensureLive(e *entry) error {
 	return nil
 }
 
-// sizeTotalLocked reads the sketch's size and total mass. Caller holds
+// sizeTotalLocked reads the sketch's occupied bins, total mass and, for
+// a rollup, its window count (a rollup reports no size). Caller holds
 // e.mu on a live entry.
-func (e *entry) sizeTotalLocked() (int, float64) {
+func (e *entry) sizeTotalLocked() (size int, total float64, windows int) {
 	switch e.cfg.Kind {
 	case KindUnit:
-		return e.unit.Size(), e.unit.Total()
+		return e.sk.Unit.Size(), e.sk.Unit.Total(), 0
 	case KindWeighted:
-		return e.weighted.Size(), e.weighted.Total()
+		return e.sk.Weighted.Size(), e.sk.Weighted.Total(), 0
 	case KindSharded:
-		return e.sharded.Size(), e.sharded.Total()
-	case KindRollup:
-		ws := e.rollup.Windows()
-		if len(ws) == 0 {
-			return 0, 0
-		}
-		return 0, e.rollup.TotalRange(ws[0], ws[len(ws)-1])
+		return e.sk.Sharded.Size(), e.sk.Sharded.Total(), 0
 	}
-	return 0, 0
+	ws := e.sk.Rollup.Windows()
+	if len(ws) == 0 {
+		return 0, 0, 0
+	}
+	return 0, e.sk.Rollup.TotalRange(ws[0], ws[len(ws)-1]), len(ws)
 }
 
 // demote encodes the entry's exact state to its cold blob and frees the
@@ -221,7 +214,7 @@ func (s *Server) demote(e *entry) bool {
 	if err != nil {
 		return false
 	}
-	size, total := e.sizeTotalLocked()
+	size, total, _ := e.sizeTotalLocked()
 	dir := filepath.Join(s.dur.st.Dir(), "cold")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return false
@@ -231,8 +224,7 @@ func (s *Server) demote(e *entry) bool {
 		return false
 	}
 	e.coldPath, e.coldSize, e.coldTotal = path, size, total
-	e.unit, e.weighted, e.sharded, e.rollup = nil, nil, nil, nil
-	e.qe, e.prep, e.enc = nil, nil, nil
+	e.sk, e.qe, e.prep, e.enc = nil, nil, nil, nil
 	e.cold.Store(true)
 	s.met.demotions.Add(1)
 	return true

@@ -115,7 +115,7 @@ func (s *Server) RestoreSketch(cfg SketchConfig, stats SketchStats, blob []byte)
 			return fmt.Errorf("sketch %q: config mismatch: have %+v, restoring %+v", cfg.Name, e.cfg, cfg)
 		}
 		e.mu.Lock()
-		e.unit, e.weighted, e.sharded, e.rollup = rb.Unit, rb.Weighted, rb.Sharded, rb.Rollup
+		e.sk = rb
 		e.gen = rand.Uint64()
 		e.qe, e.prep = nil, nil // engines are bound to the replaced sketch
 		e.cold.Store(false)     // the restored state supersedes any cold blob
@@ -130,8 +130,7 @@ func (s *Server) RestoreSketch(cfg SketchConfig, stats SketchStats, blob []byte)
 		e.mu.Unlock()
 		return nil
 	}
-	ne := &entry{cfg: cfg, gen: rand.Uint64()}
-	ne.unit, ne.weighted, ne.sharded, ne.rollup = rb.Unit, rb.Weighted, rb.Sharded, rb.Rollup
+	ne := newEntry(cfg, rb)
 	ne.rows.Store(stats.Rows)
 	ne.pushes.Store(stats.Pushes)
 	ne.dropped.Store(stats.Dropped)
@@ -183,7 +182,7 @@ func (s *Server) PartialBins(name, have string) ([]uss.Bin, string, error) {
 	e.mu.Lock()
 	switch e.cfg.Kind {
 	case KindSharded:
-		sh, gen := e.sharded, e.gen
+		sh, gen := e.sk.Sharded, e.gen
 		e.mu.Unlock()
 		bins, versions := sh.SnapshotBins()
 		if tok := partialToken(gen, versions...); tok != have {
@@ -192,9 +191,9 @@ func (s *Server) PartialBins(name, have string) ([]uss.Bin, string, error) {
 		return nil, have, nil
 	case KindUnit, KindWeighted:
 		defer e.mu.Unlock()
-		var sk binSource = e.weighted
+		var sk binSource = e.sk.Weighted
 		if e.cfg.Kind == KindUnit {
-			sk = e.unit
+			sk = e.sk.Unit
 		}
 		if tok := partialToken(e.gen, sk.Version()); tok != have {
 			return sk.Bins(), tok, nil
@@ -243,11 +242,14 @@ func StateBins(cfg SketchConfig, blob []byte) ([]uss.Bin, error) {
 	case KindUnit, KindWeighted:
 		return uss.DecodeBins(blob)
 	case KindSharded:
-		sh := uss.NewSharded(cfg.Shards, cfg.Bins, cfg.options()...)
-		if err := sh.RestoreShards(blob); err != nil {
+		sk, err := store.NewRebuilt(specFromConfig(cfg))
+		if err == nil {
+			err = sk.RestoreState(blob)
+		}
+		if err != nil {
 			return nil, err
 		}
-		return sh.Snapshot(0).Bins(), nil
+		return sk.Sharded.Snapshot(0).Bins(), nil
 	default:
 		return nil, fmt.Errorf("sketch %q: %s state has no flat bin view", cfg.Name, cfg.Kind)
 	}
@@ -319,7 +321,8 @@ func NewGatheredRead(name string, bins []uss.Bin) (*GatheredRead, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sketch %q: gathered bins: %w", name, err)
 	}
-	return &GatheredRead{e: &entry{cfg: SketchConfig{Name: name, Kind: KindWeighted, Bins: sk.Capacity()}, weighted: sk}}, nil
+	cfg := SketchConfig{Name: name, Kind: KindWeighted, Bins: sk.Capacity()}
+	return &GatheredRead{e: &entry{cfg: cfg, sk: &store.RebuiltSketch{Spec: specFromConfig(cfg), Weighted: sk}}}, nil
 }
 
 // Gather builds the sketch a point read of name answers from when it

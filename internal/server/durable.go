@@ -33,16 +33,24 @@ import (
 //     queue order equals LSN order, and each entry's jobs are routed to a
 //     single worker by name hash — per-entry application order is
 //     exactly LSN order. Sync ingests and pushes ride the same queue and
-//     wait on a completion channel, as they do in memory.
+//     wait on a completion channel, as they do in memory;
+//   - a follower's replicated records take the same two routes
+//     (ApplyReplicated), so one applier per entry sees its records in
+//     LSN order before and after a promotion.
 //
 // Because applies per entry happen in LSN order under the entry lock,
 // entry.appliedLSN is gap-free: the sketch state contains exactly the
 // records with LSN ≤ appliedLSN. That is what lets a checkpoint record a
 // per-sketch LSN and recovery replay exactly the records above it —
-// nothing is double-applied and nothing acknowledged is lost.
+// nothing is double-applied and nothing acknowledged is lost. Recovery
+// replays through the same store.RebuiltSketch methods the workers apply
+// with.
 type durableState struct {
 	st    *store.Store
 	walMu sync.Mutex
+
+	// unapplied is the boot recovery's RecoverStats.Unapplied.
+	unapplied uint64
 
 	every time.Duration
 	stop  chan struct{}
@@ -95,6 +103,9 @@ func (s *Server) AttachStore(st *store.Store, rebuilt *store.RebuildResult, chec
 	}
 	st.WireObs(s.ob.FsyncHist, s.ob.GroupCommitHist, s.cfg.Log)
 	d := &durableState{st: st, every: checkpointEvery, stop: make(chan struct{})}
+	if rebuilt != nil {
+		d.unapplied = rebuilt.Stats.Unapplied
+	}
 	s.dur = d
 	// Adopt the data dir's replication timeline so a restarted node knows
 	// which epoch its log belongs to (a dir that predates replication is
@@ -135,9 +146,7 @@ func entryFromRebuilt(rb *store.RebuiltSketch) (*entry, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	e := &entry{cfg: cfg, gen: rand.Uint64()}
-	e.lastAccess.Store(time.Now().UnixNano())
-	e.unit, e.weighted, e.sharded, e.rollup = rb.Unit, rb.Weighted, rb.Sharded, rb.Rollup
+	e := newEntry(cfg, rb)
 	e.rows.Store(rb.Rows)
 	e.pushes.Store(rb.Pushes)
 	e.dropped.Store(rb.Dropped)
@@ -243,17 +252,7 @@ func (e *entry) encodeState() ([]byte, error) {
 		// cluster state pulls stay correct without reviving it.
 		return os.ReadFile(e.coldPath)
 	}
-	switch e.cfg.Kind {
-	case KindUnit:
-		return e.unit.AppendBinary(nil)
-	case KindWeighted:
-		return e.weighted.AppendBinary(nil)
-	case KindSharded:
-		return e.sharded.AppendShards(nil)
-	case KindRollup:
-		return e.rollup.AppendWindows(nil)
-	}
-	return nil, fmt.Errorf("unknown kind %q", e.cfg.Kind)
+	return e.sk.AppendState(nil)
 }
 
 // Checkpoint persists every live sketch's state and compacts the WAL.
@@ -352,22 +351,18 @@ func (s *Server) appendIngestWAL(e *entry, b *ingestBatch) (uint64, error) {
 	return s.dur.st.AppendIngest(e.cfg.Name, b.items, ws, ats)
 }
 
-// applyPush merges decoded pushed bins into a weighted entry — the
-// DecodeBins → MergeBins fast path — and records the applied LSN (0 =
-// not durable).
+// applyPush merges decoded pushed bins into a weighted entry through
+// store.RebuiltSketch.MergePush and records the applied LSN (0 = not
+// durable).
 func (s *Server) applyPush(e *entry, pushed []uss.Bin, red uss.Reduction, lsn uint64) applyResult {
 	if err := s.ensureLive(e); err != nil {
 		return applyResult{err: err}
 	}
-	m := e.cfg.Bins
 	e.mu.Lock()
-	merged := uss.MergeBins(m, red, e.weighted.Bins(), pushed)
-	nw, err := uss.NewWeightedFromBins(m, merged, e.cfg.options()...)
-	if err != nil {
+	if err := e.sk.MergePush(red, pushed); err != nil {
 		e.mu.Unlock()
-		return applyResult{err: fmt.Errorf("load merged bins: %w", err)}
+		return applyResult{err: err}
 	}
-	e.weighted = nw
 	e.gen = rand.Uint64()
 	e.qe, e.prep = nil, nil // engines are bound to the replaced sketch
 	// Counter and watermark advance together under the entry lock, so a
@@ -376,7 +371,7 @@ func (s *Server) applyPush(e *entry, pushed []uss.Bin, red uss.Reduction, lsn ui
 	if lsn > 0 {
 		e.appliedLSN.Store(lsn)
 	}
-	size, total := nw.Size(), nw.Total()
+	size, total := e.sk.Weighted.Size(), e.sk.Weighted.Total()
 	e.mu.Unlock()
 	s.met.snapshotsIn.Add(1)
 	return applyResult{size: size, total: total}

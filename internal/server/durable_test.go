@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -388,5 +390,64 @@ func TestIngestRejectsNonFiniteWeights(t *testing.T) {
 		if info := doInfo(t, ts, "w"); info.Rows != 0 || info.Total != 0 {
 			t.Errorf("%s: rejected batches left rows %d total %v", ts.URL, info.Rows, info.Total)
 		}
+	}
+}
+
+// TestRecoveryUnappliedRecordsGauge: a server attached to a rebuild that
+// stopped at an undecodable record (TestRebuildReportsUndecodableRecord's
+// log: two records past it unapplied) exports the count on /metrics, and
+// a clean boot exports 0.
+func TestRecoveryUnappliedRecordsGauge(t *testing.T) {
+	gauge := func(ts *httptest.Server) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(body), "\n") {
+			if strings.HasPrefix(line, "ussd_recovery_unapplied_records ") {
+				return line
+			}
+		}
+		t.Fatalf("/metrics has no ussd_recovery_unapplied_records sample:\n%s", body)
+		return ""
+	}
+	clean, cts := durableServer(t, t.TempDir())
+	defer shutdown(t, clean, cts)
+	if got := gauge(cts); got != "ussd_recovery_unapplied_records 0" {
+		t.Fatalf("clean boot: %q", got)
+	}
+
+	dir := t.TempDir()
+	st, err := store.Open(store.Options{Dir: dir, Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := json.Marshal(store.SketchSpec{Name: "x", Kind: "unit", Bins: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, appendRec := range []func() (uint64, error){
+		func() (uint64, error) { return st.AppendCreate(spec) },
+		func() (uint64, error) { return st.AppendIngest("x", []string{"a", "b"}, nil, nil) },
+		func() (uint64, error) { return st.AppendCreate([]byte("{}")) },
+		func() (uint64, error) { return st.AppendIngest("x", []string{"c"}, nil, nil) },
+	} {
+		if _, err := appendRec(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := durableServer(t, dir)
+	defer shutdown(t, s, ts)
+	if got := gauge(ts); got != "ussd_recovery_unapplied_records 2" {
+		t.Fatalf("boot past an undecodable record: %q", got)
 	}
 }

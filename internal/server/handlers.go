@@ -93,23 +93,7 @@ func (e *entry) info() sketchInfo {
 		out.Size, out.Total = e.coldSize, e.coldTotal
 		return out
 	}
-	switch e.cfg.Kind {
-	case KindSharded:
-		out.Size = e.sharded.Size()
-		out.Total = e.sharded.Total()
-	case KindUnit:
-		out.Size = e.unit.Size()
-		out.Total = e.unit.Total()
-	case KindWeighted:
-		out.Size = e.weighted.Size()
-		out.Total = e.weighted.Total()
-	case KindRollup:
-		ws := e.rollup.Windows()
-		out.Windows = len(ws)
-		if len(ws) > 0 {
-			out.Total = e.rollup.TotalRange(ws[0], ws[len(ws)-1])
-		}
-	}
+	out.Size, out.Total, out.Windows = e.sizeTotalLocked()
 	return out
 }
 
@@ -459,18 +443,14 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
 	var blob []byte
 	var err error
 	switch e.cfg.Kind {
-	case KindUnit:
+	case KindUnit, KindWeighted:
+		// Their state encoding is the wire-v2 snapshot.
 		e.mu.Lock()
-		e.enc, err = e.unit.AppendBinary(e.enc[:0])
-		blob = append([]byte(nil), e.enc...)
-		e.mu.Unlock()
-	case KindWeighted:
-		e.mu.Lock()
-		e.enc, err = e.weighted.AppendBinary(e.enc[:0])
+		e.enc, err = e.sk.AppendState(e.enc[:0])
 		blob = append([]byte(nil), e.enc...)
 		e.mu.Unlock()
 	case KindSharded:
-		blob, err = e.sharded.Snapshot(0).MarshalBinary()
+		blob, err = e.sk.Sharded.Snapshot(0).MarshalBinary()
 	default:
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("sketch %q is a rollup; pull a range with /range endpoints", e.cfg.Name))
@@ -549,14 +529,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, gather Gathe
 	var bins []uss.Bin
 	switch e.cfg.Kind {
 	case KindSharded:
-		bins = e.sharded.TopK(k) // lock-free cached read path
+		bins = e.sk.Sharded.TopK(k) // lock-free cached read path
 	case KindUnit:
 		e.mu.Lock()
-		bins = e.unit.TopK(k)
+		bins = e.sk.Unit.TopK(k)
 		e.mu.Unlock()
 	case KindWeighted:
 		e.mu.Lock()
-		bins = e.weighted.TopK(k)
+		bins = e.sk.Weighted.TopK(k)
 		e.mu.Unlock()
 	default:
 		writeError(w, http.StatusBadRequest,
@@ -580,14 +560,14 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, gather G
 	var est float64
 	switch e.cfg.Kind {
 	case KindSharded:
-		est = e.sharded.Estimate(item)
+		est = e.sk.Sharded.Estimate(item)
 	case KindUnit:
 		e.mu.Lock()
-		est = e.unit.Estimate(item)
+		est = e.sk.Unit.Estimate(item)
 		e.mu.Unlock()
 	case KindWeighted:
 		e.mu.Lock()
-		est = e.weighted.Estimate(item)
+		est = e.sk.Weighted.Estimate(item)
 		e.mu.Unlock()
 	default:
 		writeError(w, http.StatusBadRequest,
@@ -690,14 +670,14 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request, gather Gather
 	var est uss.Estimate
 	switch e.cfg.Kind {
 	case KindSharded:
-		est = spec.on(e.sharded)
+		est = spec.on(e.sk.Sharded)
 	case KindUnit:
 		e.mu.Lock()
-		est = spec.on(e.unit)
+		est = spec.on(e.sk.Unit)
 		e.mu.Unlock()
 	case KindWeighted:
 		e.mu.Lock()
-		est = e.weighted.SubsetSum(spec.pred())
+		est = e.sk.Weighted.SubsetSum(spec.pred())
 		e.mu.Unlock()
 	default:
 		writeError(w, http.StatusBadRequest,
@@ -754,11 +734,11 @@ func (e *entry) prepared(spec uss.QuerySpec) *uss.PreparedQuery {
 	if e.qe == nil {
 		switch e.cfg.Kind {
 		case KindUnit:
-			e.qe = e.unit.QueryEngine()
+			e.qe = e.sk.Unit.QueryEngine()
 		case KindWeighted:
-			e.qe = e.weighted.QueryEngine()
+			e.qe = e.sk.Weighted.QueryEngine()
 		case KindSharded:
-			e.qe = e.sharded.QueryEngine()
+			e.qe = e.sk.Sharded.QueryEngine()
 		}
 	}
 	if e.prep == nil || len(e.prep) >= 128 {
@@ -877,7 +857,7 @@ func (s *Server) handleRangeTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.mu.Lock()
-	bins := e.rollup.TopKRange(from, to, k)
+	bins := e.sk.Rollup.TopKRange(from, to, k)
 	e.mu.Unlock()
 	s.met.queriesServed.Add(1)
 	WriteJSON(w, http.StatusOK, map[string]any{"items": toBinDTOs(bins)})
@@ -899,7 +879,7 @@ func (s *Server) handleRangeSum(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.mu.Lock()
-	est, covered := e.rollup.SubsetSumRange(from, to, spec.pred())
+	est, covered := e.sk.Rollup.SubsetSumRange(from, to, spec.pred())
 	e.mu.Unlock()
 	if !covered {
 		writeError(w, http.StatusNotFound,
@@ -921,7 +901,7 @@ func (s *Server) handleRangeTotal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.mu.Lock()
-	total := e.rollup.TotalRange(from, to)
+	total := e.sk.Rollup.TotalRange(from, to)
 	e.mu.Unlock()
 	s.met.queriesServed.Add(1)
 	WriteJSON(w, http.StatusOK, map[string]any{"total": total})

@@ -172,6 +172,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		p("ussd_disk_hard_trips_total %d\n", sm.DiskHardTrips.Load())
 		fam("ussd_readonly_rejects_total", "counter", "Mutations rejected while the store was read-only.")
 		p("ussd_readonly_rejects_total %d\n", sm.ReadOnlyRejects.Load())
+		fam("ussd_recovery_unapplied_records", "gauge", "Log records boot recovery did not apply: replay stopped at an undecodable record.")
+		p("ussd_recovery_unapplied_records %d\n", d.unapplied)
 	}
 
 	fam("ussd_replication_role", "gauge", "Replication role of this node (label carries the role).")

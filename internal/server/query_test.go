@@ -480,7 +480,7 @@ func adServer(t testing.TB) *Server {
 			batch = append(batch, im.Key(0, 3, 6))
 		}
 		if len(batch) == cap(batch) || !ok && len(batch) > 0 {
-			e.sharded.UpdateBatch(batch)
+			e.sk.Sharded.UpdateBatch(batch)
 			batch = batch[:0]
 		}
 		if !ok {

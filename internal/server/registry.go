@@ -10,6 +10,7 @@ import (
 	"time"
 
 	uss "repro"
+	"repro/internal/store"
 )
 
 // ErrExists reports a create for a name the registry already holds —
@@ -26,9 +27,9 @@ var ErrNotFound = errors.New("no such sketch")
 type Kind string
 
 // The four hosted kinds. Unit and Weighted are single sketches behind the
-// entry mutex; Sharded is internally synchronized and takes concurrent
-// ingest without the entry lock; Rollup is windowed and adds the
-// range-query endpoints.
+// entry mutex; Sharded is internally synchronized, so its cached reads
+// skip the entry lock, and so does its ingest on an in-memory server;
+// Rollup is windowed and adds the range-query endpoints.
 const (
 	KindUnit     Kind = "unit"
 	KindWeighted Kind = "weighted"
@@ -92,33 +93,24 @@ func (c *SketchConfig) validate() error {
 	return nil
 }
 
-// options renders the config's seed as construction options.
-func (c *SketchConfig) options() []uss.Option {
-	if c.Seed != 0 {
-		return []uss.Option{uss.WithSeed(c.Seed)}
-	}
-	return nil
-}
-
-// entry is one hosted sketch. Exactly one of the four sketch fields is
-// non-nil, matching cfg.Kind.
+// entry is one hosted sketch: its config and its live state, sk, the
+// store.RebuiltSketch that also rebuilds sketches in recovery. Every
+// construction, restore, encoding, update and merge of the state goes
+// through sk's methods; the read handlers use its per-kind fields.
 //
-// Locking: mu guards the sketch state of unit, weighted and rollup
-// entries (single-writer types), the pull encode buffer, and the query
-// engine + prepared-query cache of every kind. Sharded entries take
-// ingest and cached reads (TopK) without mu — the ShardedSketch is
-// internally synchronized and its snapshot cache is lock-free — but their
-// query engine still lives behind mu because engines are single-goroutine
-// owners of their buffers. Counters are atomics so the metrics endpoint
-// never contends with ingest.
+// Locking: mu guards sk (the pointer, and the state of unit, weighted
+// and rollup sketches), the pull encode buffer, and the query engine +
+// prepared-query cache of every kind. Sharded entries serve cached reads
+// (TopK) without mu, and on an in-memory server take ingest without it
+// too — the ShardedSketch is internally synchronized and its snapshot
+// cache is lock-free — but their query engine still lives behind mu
+// because engines are single-goroutine owners of their buffers. Counters
+// are atomics so the metrics endpoint never contends with ingest.
 type entry struct {
 	cfg SketchConfig
 
-	mu       sync.Mutex
-	unit     *uss.Sketch
-	weighted *uss.WeightedSketch
-	sharded  *uss.ShardedSketch
-	rollup   *uss.Rollup
+	mu sync.Mutex
+	sk *store.RebuiltSketch
 
 	// qe + prep are the PR 2 cached read path: one engine per entry, one
 	// prepared query per distinct spec, revalidated against sketch
@@ -165,11 +157,11 @@ type entry struct {
 
 	// Memory-watermark demotion state (admission.go). lastAccess is
 	// stamped by ensureLive on every path that touches the sketch
-	// pointers; cold flips under e.mu (the atomic is the lock-free fast
-	// check) and while it is set the sketch pointers are nil and the
-	// entry's exact state lives in the blob at coldPath. coldSize and
-	// coldTotal preserve the stats snapshot so list/info and anti-entropy
-	// digests answer without reviving.
+	// state; cold flips under e.mu (the atomic is the lock-free fast
+	// check) and while it is set sk is nil and the entry's exact state
+	// lives in the blob at coldPath. coldSize and coldTotal preserve the
+	// stats snapshot so list/info and anti-entropy digests answer without
+	// reviving.
 	lastAccess atomic.Int64
 	cold       atomic.Bool
 	coldPath   string
@@ -177,30 +169,11 @@ type entry struct {
 	coldTotal  float64
 }
 
-// newEntry constructs the sketch for a validated config.
-func newEntry(cfg SketchConfig) (*entry, error) {
-	e := &entry{cfg: cfg, gen: rand.Uint64()}
+// newEntry wraps a sketch in an entry with a fresh generation.
+func newEntry(cfg SketchConfig, sk *store.RebuiltSketch) *entry {
+	e := &entry{cfg: cfg, sk: sk, gen: rand.Uint64()}
 	e.lastAccess.Store(time.Now().UnixNano())
-	switch cfg.Kind {
-	case KindUnit:
-		e.unit = uss.New(cfg.Bins, cfg.options()...)
-	case KindWeighted:
-		e.weighted = uss.NewWeighted(cfg.Bins, cfg.options()...)
-	case KindSharded:
-		e.sharded = uss.NewSharded(cfg.Shards, cfg.Bins, cfg.options()...)
-	case KindRollup:
-		r, err := uss.NewRollup(uss.RollupConfig{
-			Bins:         cfg.Bins,
-			WindowLength: cfg.WindowLength,
-			Retain:       cfg.Retain,
-			Seed:         cfg.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sketch %q: %w", cfg.Name, err)
-		}
-		e.rollup = r
-	}
-	return e, nil
+	return e
 }
 
 // capacity returns the entry's total bin budget.
@@ -233,10 +206,11 @@ func (r *Registry) Create(cfg SketchConfig) (*entry, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	e, err := newEntry(cfg)
+	sk, err := store.NewRebuilt(specFromConfig(cfg))
 	if err != nil {
 		return nil, err
 	}
+	e := newEntry(cfg, sk)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, taken := r.entries[cfg.Name]; taken {

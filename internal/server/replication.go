@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	uss "repro"
 	"repro/internal/faultinject"
 	"repro/internal/store"
 )
@@ -126,7 +125,9 @@ func (s *Server) Promote() error {
 	if d != nil {
 		// walMu serializes promotion against replicated applies: once the
 		// role flips, ApplyReplicated refuses, so no old-epoch record can
-		// land above the recorded PromoteLSN.
+		// land above the recorded PromoteLSN, and every replicated record
+		// logged before it is already in its entry's queue, ahead of any
+		// client write the promoted server takes.
 		d.walMu.Lock()
 		defer d.walMu.Unlock()
 	}
@@ -155,15 +156,22 @@ func (s *Server) Promote() error {
 }
 
 // ApplyReplicated logs and applies one record pulled from the primary's
-// WAL stream, pinned to the LSN the primary assigned. The record is
-// appended to the local log first (byte-identical to the primary's) and
-// then applied through the same code paths the primary's own workers
-// use — applyBatch for ingest, applyPush for snapshots — so a promoted
-// follower's state is bit-identical to a replay of the same records. It
-// returns success only once the record is durable. A duplicate LSN is
-// skipped silently (dup-frame faults, stream resumes); a gap is an error
-// and the caller must re-request from its log end.
-func (s *Server) ApplyReplicated(lsn uint64, payload []byte) (err error) {
+// WAL stream, pinned to the LSN the primary assigned. It decodes the
+// record first; then, in one walMu section, it appends the record to the
+// local log (byte-identical to the primary's) and hands it on the way the
+// primary's own mutations go: a create or delete changes the registry
+// inline, as createSketch and deleteSketch do, and an ingest or snapshot
+// record joins its entry's queue, as write does. So queue order is LSN
+// order, the entry's worker applies the record through the same
+// store.RebuiltSketch methods recovery replays with, and a Promote
+// (which takes walMu) finds every replicated record queued ahead of the
+// first client write. It returns once the record is durable and applied.
+// A record recovery would skip — for a sketch the log never created, with
+// a bad reduction or blob, or a snapshot into a non-weighted sketch — is
+// logged but not applied, with a warning, and the stream goes on. A
+// duplicate LSN is skipped silently (dup-frame faults, stream resumes); a
+// gap is an error and the caller must re-request from its log end.
+func (s *Server) ApplyReplicated(lsn uint64, payload []byte) error {
 	d := s.dur
 	if d == nil {
 		return fmt.Errorf("server: replicated apply needs an attached store")
@@ -172,84 +180,69 @@ func (s *Server) ApplyReplicated(lsn uint64, payload []byte) (err error) {
 	if err != nil {
 		return fmt.Errorf("server: replicated record %d: %w", lsn, err)
 	}
+	j := ingestJob{lsn: lsn}
+	var skip error
+	switch rec.Type {
+	case store.TypeIngest:
+		j.b = &ingestBatch{items: rec.Items, ws: rec.Weights, ats: rec.Ats}
+	case store.TypeSnapshot:
+		j.red, j.push, skip = rec.PushedBins()
+	}
 
 	d.walMu.Lock()
 	if s.Role() != RoleFollower {
 		d.walMu.Unlock()
 		return ErrNotFollower
 	}
-	applied, err := d.st.AppendReplicated(lsn, payload)
+	logged, err := d.st.AppendReplicated(lsn, payload)
 	if err != nil {
 		d.walMu.Unlock()
 		return err
 	}
-	// No append fsyncs by itself, so this wait runs on every return below,
-	// after walMu is released, duplicates included: a re-request after a
-	// failed wait sees its record as a duplicate. Applying before the wait
-	// keeps that record from being logged but never applied.
-	defer func() {
-		if werr := d.waitDurable(context.Background(), lsn, "replicated record"); err == nil {
-			err = werr
+	if logged {
+		s.met.replApplied.Add(1)
+		switch rec.Type {
+		case store.TypeCreate:
+			e, cerr := s.reg.Create(configFromSpec(rec.Spec))
+			if cerr == nil {
+				e.appliedLSN.Store(lsn)
+				e.appendedLSN.Store(lsn)
+			} else if !errors.Is(cerr, ErrExists) {
+				err = fmt.Errorf("server: replicated create %q: %w", rec.Name, cerr)
+			}
+		case store.TypeDelete:
+			s.reg.Delete(rec.Name)
+		case store.TypeIngest, store.TypeSnapshot:
+			e, ok := s.reg.Get(rec.Name)
+			if !ok {
+				skip = ErrNotFound
+			} else if skip == nil {
+				j.e, j.done = e, make(chan applyResult, 1)
+				e.appendedLSN.Store(lsn)
+				if queued, _ := s.enqueue(context.Background(), j); !queued {
+					// The record sits above the entry's watermark, so the
+					// drain checkpoint spares it and the next boot replays it.
+					err = fmt.Errorf("server: shutting down; replicated record %d logged, not applied", lsn)
+				}
+			}
 		}
-	}()
-	if !applied {
-		d.walMu.Unlock()
-		return nil
 	}
-	s.met.replApplied.Add(1)
-	switch rec.Type {
-	case store.TypeCreate:
-		e, err := s.reg.Create(configFromSpec(rec.Spec))
-		if err == nil {
-			e.appliedLSN.Store(lsn)
-			e.appendedLSN.Store(lsn)
-		}
-		d.walMu.Unlock()
-		if err != nil && !errors.Is(err, ErrExists) {
-			return fmt.Errorf("server: replicated create %q: %w", rec.Name, err)
-		}
-		return nil
-	case store.TypeDelete:
-		s.reg.Delete(rec.Name)
-		d.walMu.Unlock()
-		return nil
-	}
-
-	e, ok := s.reg.Get(rec.Name)
-	if !ok {
-		// Same salvage contract as recovery: a record for a sketch the log
-		// never created is logged locally (the stream is byte-faithful)
-		// but not applied.
-		d.walMu.Unlock()
-		return nil
-	}
-	e.appendedLSN.Store(lsn)
 	d.walMu.Unlock()
-
-	switch rec.Type {
-	case store.TypeIngest:
-		b := &ingestBatch{items: rec.Items, ws: rec.Weights, ats: rec.Ats}
-		if e.cfg.Kind == KindRollup && len(b.ats) < len(b.items) {
-			b.ats = append(b.ats, make([]int64, len(b.items)-len(b.ats))...)
-		}
-		s.applyBatch(e, b, lsn)
-		return nil
-	case store.TypeSnapshot:
-		red := uss.Reduction(rec.Reduction)
-		switch red {
-		case uss.Pairwise, uss.Pivotal, uss.MisraGries:
-		default:
-			return nil // undecodable reduction: logged, not applied (recovery parity)
-		}
-		pushed, err := uss.DecodeBins(rec.Blob)
-		if err != nil {
-			return nil // undecodable blob: logged, not applied (recovery parity)
-		}
-		res := s.applyPush(e, pushed, red, lsn)
-		return res.err
-	default:
-		return nil
+	// No append fsyncs by itself, so every logged or duplicate record waits
+	// here: a re-request after a failed wait sees its record as a duplicate.
+	if werr := d.waitDurable(context.Background(), lsn, "replicated record"); err == nil {
+		err = werr
 	}
+	if err != nil || !logged {
+		return err
+	}
+	if j.done != nil {
+		skip = (<-j.done).err
+	}
+	if skip != nil {
+		s.log.Warn("replicated record logged but not applied", "lsn", lsn, "sketch", rec.Name, "err", skip)
+	}
+	return nil
 }
 
 // WALNextLSN returns the attached store's next LSN (0 when the server

@@ -34,10 +34,13 @@
 //
 // The registry is a read-mostly map: request handlers take its read lock
 // only to resolve a name to an entry pointer, never across sketch work.
-// Each entry owns its sketch behind an entry mutex — except sharded
-// entries, whose ShardedSketch is internally synchronized, so ingest
-// batches flow into ShardedSketch.UpdateBatch and top-k reads come off
-// its lock-free cached snapshot without the entry lock. Query evaluation
+// Each entry owns its sketch, a store.RebuiltSketch, behind an entry
+// mutex; every update and merge goes through that type's methods, the
+// same ones recovery and a replication follower apply with. Sharded
+// entries are the exception to the lock: the ShardedSketch is internally
+// synchronized, so top-k reads come off its lock-free cached snapshot
+// and, on an in-memory server, ingest batches flow into
+// ShardedSketch.UpdateBatch without the entry lock. Query evaluation
 // reuses the PR 2 cached read path: one engine and a prepared-query cache
 // per entry, revalidated against the sketch's version counters, so a
 // query against an unchanged sketch re-parses nothing. Rollup range
@@ -50,7 +53,9 @@
 // apply the batch and replies 200 for read-after-write callers. Pushed
 // snapshots take the same queue; they are decoded with uss.DecodeBins
 // and merged under the entry lock with uss.MergeBins — bins, never
-// sketches, cross the wire.
+// sketches, cross the wire. A replication follower's ingest and snapshot
+// records take the same queue too (ApplyReplicated), so each entry has
+// one applier that sees its records in LSN order in either role.
 //
 // Shutdown drains: the HTTP server stops accepting, in-flight handlers
 // finish, the ingest queue runs dry, then workers exit. Rows accepted
@@ -419,23 +424,15 @@ func (s *Server) ingestWorker(i int) {
 	}
 }
 
-// applyBatch routes one decoded batch into its entry's sketch, taking the
-// entry lock for the single-writer kinds and going straight to the
-// internally synchronized batched path for sharded entries — except in
-// durable mode (lsn > 0), where sharded applies also take the entry lock
-// so the applied-LSN watermark and checkpoint encoding see one
-// consistent state. The row/dropped counters advance inside the same
-// locked region as the watermark: a checkpoint reading (appliedLSN,
-// rows) under e.mu must see a batch in both or in neither, or recovery
-// would gate the batch's record out while its rows are missing from the
-// persisted counter. This mirrors the per-kind replay in
-// internal/store's rebuild (RebuiltSketch.applyIngest) — the two must
-// stay in lockstep for recovery to be bit-identical, which
-// TestKillDashNineRecovery pins.
-//
-// Sketch-update semantics are identical with and without the lock; the
-// non-durable sharded path skips it because nothing checkpoints an
-// in-memory entry.
+// applyBatch applies one decoded batch to its entry's sketch through
+// store.RebuiltSketch.ApplyIngest, the dispatch recovery replays with. It
+// holds e.mu for every kind except sharded on an in-memory server: the
+// ShardedSketch is internally synchronized and nothing checkpoints an
+// in-memory entry. On a durable server (lsn > 0) the row/dropped counters
+// advance inside the same locked region as the watermark: a checkpoint
+// reading (appliedLSN, rows) under e.mu must see a batch in both or in
+// neither, or recovery would gate the batch's record out while its rows
+// are missing from the persisted counter.
 func (s *Server) applyBatch(e *entry, b *ingestBatch, lsn uint64) {
 	if s.ensureLive(e) != nil {
 		// The cold blob failed to restore; the batch cannot apply. The
@@ -444,49 +441,16 @@ func (s *Server) applyBatch(e *entry, b *ingestBatch, lsn uint64) {
 		return
 	}
 	rows := int64(len(b.items))
-	finish := func(dropped int64) { // caller holds e.mu (or is lock-free sharded)
-		e.rows.Add(rows)
-		e.dropped.Add(dropped)
-		if lsn > 0 {
-			e.appliedLSN.Store(lsn)
-		}
+	locked := lsn > 0 || e.cfg.Kind != KindSharded
+	if locked {
+		e.mu.Lock()
 	}
-	switch e.cfg.Kind {
-	case KindSharded:
-		if lsn > 0 {
-			e.mu.Lock()
-			e.sharded.UpdateBatch(b.items)
-			finish(0)
-			e.mu.Unlock()
-		} else {
-			e.sharded.UpdateBatch(b.items)
-			finish(0)
-		}
-	case KindUnit:
-		e.mu.Lock()
-		e.unit.UpdateAll(b.items)
-		finish(0)
-		e.mu.Unlock()
-	case KindWeighted:
-		e.mu.Lock()
-		for i, it := range b.items {
-			w := 1.0
-			if i < len(b.ws) {
-				w = b.ws[i]
-			}
-			e.weighted.Update(it, w)
-		}
-		finish(0)
-		e.mu.Unlock()
-	case KindRollup:
-		var dropped int64
-		e.mu.Lock()
-		for i, it := range b.items {
-			if !e.rollup.Update(it, b.ats[i]) {
-				dropped++
-			}
-		}
-		finish(dropped)
+	e.dropped.Add(e.sk.ApplyIngest(b.items, b.ws, b.ats))
+	e.rows.Add(rows)
+	if lsn > 0 {
+		e.appliedLSN.Store(lsn)
+	}
+	if locked {
 		e.mu.Unlock()
 	}
 	s.met.rowsIngested.Add(rows)

@@ -609,11 +609,11 @@ func TestSumFormsMatchScan(t *testing.T) {
 			e.mu.Lock()
 			switch e.cfg.Kind {
 			case KindUnit:
-				want = e.unit.SubsetSum(f.pred)
+				want = e.sk.Unit.SubsetSum(f.pred)
 			case KindSharded:
-				want = e.sharded.SubsetSum(f.pred)
+				want = e.sk.Sharded.SubsetSum(f.pred)
 			default:
-				want = e.weighted.SubsetSum(f.pred)
+				want = e.sk.Weighted.SubsetSum(f.pred)
 			}
 			e.mu.Unlock()
 			if want.SampleBins == 0 {

@@ -6,9 +6,17 @@ import (
 	uss "repro"
 )
 
-// RebuiltSketch is one sketch reconstructed by an Applier: its spec, the
-// LSN its state reflects, served-row counters, and exactly one non-nil
-// sketch field matching Spec.Kind.
+// RebuiltSketch holds one sketch's per-kind state: its spec and exactly
+// one non-nil sketch field matching Spec.Kind. It is the only code that
+// builds (NewRebuilt), restores (RestoreState), encodes (AppendState),
+// updates (ApplyIngest) and merges (MergePush) that state, and every
+// holder goes through it: a live ussd entry, a replication follower's
+// entries and the Applier that recovery and `uss wal replay` run. So a
+// replayed or replicated sketch changes through the very code the live
+// one did: replayed from its create record with a fixed seed it is bit
+// for bit the live sketch (TestKillDashNineRecovery pins it across
+// processes). The LSN and counter fields are the Applier's bookkeeping;
+// a server entry keeps its own.
 type RebuiltSketch struct {
 	// Spec is the sketch's configuration.
 	Spec SketchSpec
@@ -22,7 +30,7 @@ type RebuiltSketch struct {
 	// Pushes counts replayed snapshot merges.
 	Pushes int64
 
-	// The reconstructed sketch; one field per kind.
+	// The sketch itself; one field per kind.
 	Unit     *uss.Sketch
 	Weighted *uss.WeightedSketch
 	Sharded  *uss.ShardedSketch
@@ -47,6 +55,10 @@ type RecoverStats struct {
 	// after a crash, mid-log corruption, or a record that passes its CRC
 	// but does not decode).
 	TornTail bool
+	// Unapplied counts the log records past a record that passes its CRC
+	// but does not decode, that record included: replay stops there, so
+	// none of them is applied. It is 0 after a clean or torn-tail replay.
+	Unapplied uint64
 	// Warnings lists non-fatal oddities (unknown names, duplicate
 	// creates, undecodable snapshots), capped at a few dozen.
 	Warnings []string
@@ -76,10 +88,9 @@ func (sp *SketchSpec) options() []uss.Option {
 	return nil
 }
 
-// NewRebuilt constructs an empty sketch for a spec — the same
-// constructor dispatch boot recovery uses for create records, exported
-// so a replication follower builds replicated sketches through one code
-// path.
+// NewRebuilt constructs an empty sketch for a spec: the one constructor
+// dispatch, shared by a server's create, a follower's replicated create,
+// recovery's create records and every restore.
 func NewRebuilt(sp SketchSpec) (*RebuiltSketch, error) {
 	if sp.Name == "" || sp.Bins <= 0 {
 		return nil, fmt.Errorf("store: bad spec %+v", sp)
@@ -110,11 +121,25 @@ func NewRebuilt(sp SketchSpec) (*RebuiltSketch, error) {
 	return rb, nil
 }
 
-// RestoreState loads a checkpoint-encoded state blob (AppendBinary for
-// unit/weighted, AppendShards for sharded, AppendWindows for rollup)
-// into an empty rebuilt sketch. Exported because cluster anti-entropy
-// restores a rejoining node's partition from a peer's copy through the
-// same per-kind dispatch checkpoint recovery uses.
+// AppendState appends the sketch's exact state to dst: AppendBinary for
+// unit and weighted, AppendShards for sharded, AppendWindows for rollup.
+// It is the one encoding checkpoints, cold blobs and cluster state pulls
+// ship, and RestoreState is its inverse. The caller excludes writers.
+func (rb *RebuiltSketch) AppendState(dst []byte) ([]byte, error) {
+	switch {
+	case rb.Unit != nil:
+		return rb.Unit.AppendBinary(dst)
+	case rb.Weighted != nil:
+		return rb.Weighted.AppendBinary(dst)
+	case rb.Sharded != nil:
+		return rb.Sharded.AppendShards(dst)
+	case rb.Rollup != nil:
+		return rb.Rollup.AppendWindows(dst)
+	}
+	return nil, fmt.Errorf("store: encode unconstructed sketch")
+}
+
+// RestoreState loads an AppendState blob into an empty rebuilt sketch.
 func (rb *RebuiltSketch) RestoreState(state []byte) error {
 	switch {
 	case rb.Unit != nil:
@@ -129,14 +154,13 @@ func (rb *RebuiltSketch) RestoreState(state []byte) error {
 	return fmt.Errorf("store: restore into unconstructed sketch")
 }
 
-// ApplyIngest replays one ingest batch through the same per-kind update
-// paths the live server uses. This mirrors internal/server's applyBatch
-// (minus its locking and metrics) — the two dispatches must stay in
-// lockstep or recovery stops being bit-identical to live ingest; the
-// cross-process TestKillDashNineRecovery in cmd/ussd pins the pair. It
-// is exported because follower apply runs replicated ingest records
-// through it too (under the server's entry lock).
-func (rb *RebuiltSketch) ApplyIngest(items []string, ws []float64, ats []int64) {
+// ApplyIngest applies one ingest batch: the one per-kind ingest dispatch,
+// run by a server's workers and by the Applier. A weight or timestamp
+// missing from its column reads as 1 or 0. It returns the rollup rows it
+// dropped past the retention horizon and touches no counter, so each
+// caller counts for itself. Only the sharded update is internally
+// synchronized; for the other kinds the caller excludes readers.
+func (rb *RebuiltSketch) ApplyIngest(items []string, ws []float64, ats []int64) (dropped int64) {
 	switch {
 	case rb.Unit != nil:
 		rb.Unit.UpdateAll(items)
@@ -157,56 +181,51 @@ func (rb *RebuiltSketch) ApplyIngest(items []string, ws []float64, ats []int64) 
 				at = ats[i]
 			}
 			if !rb.Rollup.Update(it, at) {
-				rb.Dropped++
+				dropped++
 			}
 		}
 	}
-	rb.Rows += int64(len(items))
+	return dropped
 }
 
-// ApplySnapshot replays one pushed snapshot through the DecodeBins →
-// MergeBins fast path, exactly as the live push handler does (the
-// lockstep twin of internal/server's applyPush — keep them identical).
-// The weighted sketch is replaced; callers holding a pointer to the old
-// one must re-read rb.Weighted after a successful apply.
-func (rb *RebuiltSketch) ApplySnapshot(red uss.Reduction, blob []byte) error {
+// MergePush merges pushed bins into the weighted sketch (MergeBins, then
+// NewWeightedFromBins at the spec's capacity and seed) and replaces it
+// with the result; callers holding the old rb.Weighted must re-read it.
+// It is the one push merge, run by a server's workers for client pushes
+// and replicated snapshot records, and by the Applier. A non-weighted
+// sketch refuses it.
+func (rb *RebuiltSketch) MergePush(red uss.Reduction, pushed []uss.Bin) error {
 	if rb.Weighted == nil {
 		return fmt.Errorf("snapshot pushed into non-weighted sketch %q", rb.Spec.Name)
-	}
-	pushed, err := uss.DecodeBins(blob)
-	if err != nil {
-		return err
 	}
 	m := rb.Spec.Bins
 	merged := uss.MergeBins(m, red, rb.Weighted.Bins(), pushed)
 	nw, err := uss.NewWeightedFromBins(m, merged, rb.Spec.options()...)
 	if err != nil {
-		return err
+		return fmt.Errorf("load merged bins: %w", err)
 	}
 	rb.Weighted = nw
-	rb.Pushes++
 	return nil
 }
 
-// parseReduction validates a snapshot record's reduction byte.
-func parseReduction(b byte) (uss.Reduction, error) {
-	r := uss.Reduction(b)
-	switch r {
+// PushedBins checks a snapshot record's reduction byte and decodes its
+// blob, for MergePush. The decoded bins do not alias the record.
+func (r *Record) PushedBins() (uss.Reduction, []uss.Bin, error) {
+	red := uss.Reduction(r.Reduction)
+	switch red {
 	case uss.Pairwise, uss.Pivotal, uss.MisraGries:
-		return r, nil
 	default:
-		return 0, fmt.Errorf("unknown reduction byte %d", b)
+		return 0, nil, fmt.Errorf("unknown reduction byte %d", r.Reduction)
 	}
+	pushed, err := uss.DecodeBins(r.Blob)
+	return red, pushed, err
 }
 
-// Applier is the transport-neutral record applier: a set of rebuilt
-// sketches plus per-sketch LSN gates, fed decoded WAL records in LSN
-// order from any source — the on-disk log tail (boot recovery, `uss wal
-// replay`) or a primary's replication stream (follower apply). Every
-// consumer shares the same dispatch, so "replayed" and "replicated"
-// state are bit-identical by construction. Not safe for concurrent use;
-// callers that serve reads from the same sketches (the follower) apply
-// under their own per-sketch locks.
+// Applier replays decoded WAL records in LSN order into a set of rebuilt
+// sketches, honouring per-sketch LSN gates: the engine behind boot
+// recovery and `uss wal replay`. It changes each sketch through the same
+// RebuiltSketch methods a live server and a replication follower apply
+// with. Not safe for concurrent use.
 type Applier struct {
 	// Sketches maps sketch name to its reconstructed state.
 	Sketches map[string]*RebuiltSketch
@@ -300,7 +319,8 @@ func (a *Applier) Apply(rec *Record) {
 			a.Stats.Skipped++
 			return
 		}
-		rb.ApplyIngest(rec.Items, rec.Weights, rec.Ats)
+		rb.Dropped += rb.ApplyIngest(rec.Items, rec.Weights, rec.Ats)
+		rb.Rows += int64(len(rec.Items))
 		rb.LSN = rec.LSN
 	case TypeSnapshot:
 		rb, ok := a.Sketches[rec.Name]
@@ -309,17 +329,16 @@ func (a *Applier) Apply(rec *Record) {
 			a.Stats.Skipped++
 			return
 		}
-		red, err := parseReduction(rec.Reduction)
+		red, pushed, err := rec.PushedBins()
+		if err == nil {
+			err = rb.MergePush(red, pushed)
+		}
 		if err != nil {
 			a.Stats.warnf("lsn %d: snapshot push into %q: %v", rec.LSN, rec.Name, err)
 			a.Stats.Skipped++
 			return
 		}
-		if err := rb.ApplySnapshot(red, rec.Blob); err != nil {
-			a.Stats.warnf("lsn %d: snapshot push into %q: %v", rec.LSN, rec.Name, err)
-			a.Stats.Skipped++
-			return
-		}
+		rb.Pushes++
 		rb.LSN = rec.LSN
 	default:
 		a.Stats.warnf("lsn %d: unknown record type %d", rec.LSN, rec.Type)
@@ -356,8 +375,9 @@ func Rebuild(dir string) (*RebuildResult, error) {
 	}
 	if stop != nil {
 		a.Stats.TornTail = true
+		a.Stats.Unapplied = lastLSN - stop.lsn + 1
 		a.Stats.warnf("lsn %d: record passes its CRC but does not decode (%v); replay stopped there, %d records through lsn %d not applied",
-			stop.lsn, stop.err, lastLSN-stop.lsn+1, lastLSN)
+			stop.lsn, stop.err, a.Stats.Unapplied, lastLSN)
 	}
 	return &RebuildResult{Sketches: a.Sketches, Stats: a.Stats}, nil
 }

@@ -371,19 +371,23 @@ type encBuf struct{ b []byte }
 
 var batchEncPool = sync.Pool{New: func() any { return new(encBuf) }}
 
+// replayableWeight reports whether a weighted sketch can apply w: it
+// must be positive and finite (WeightedSketch.Update panics on zero).
+// AppendIngest refuses any other weight and the decoder rejects it, so a
+// record that carries one anyway stops replay instead of crashing it.
+func replayableWeight(w float64) bool { return w > 0 && !math.IsInf(w, 0) }
+
 // AppendIngest logs one ingest batch for a sketch: the item column plus
 // optional weights and timestamps (pass nil for columns the kind does not
 // use). The frame is encoded into a pooled buffer before the store lock
 // is taken — concurrent callers encode their batches in parallel and
 // serialize only on the final buffer write — and steady-state appends
 // stay allocation-free. A weight recovery could not replay is refused
-// before anything is logged: the decoder rejects a negative or non-finite
-// weight, and recovery stops at the first record it cannot decode, which
-// would hide every later acknowledged batch; a weighted sketch panics on
-// a zero one.
+// before anything is logged: recovery stops at the first record it cannot
+// decode, which would hide every later acknowledged batch.
 func (s *Store) AppendIngest(name string, items []string, ws []float64, ats []int64) (uint64, error) {
 	for i, w := range ws {
-		if !(w > 0) || math.IsInf(w, 0) {
+		if !replayableWeight(w) {
 			return 0, fmt.Errorf("store: ingest batch for %q: row %d has invalid weight %v", name, i, w)
 		}
 	}

@@ -372,8 +372,9 @@ func TestRebuildReportsUndecodableRecord(t *testing.T) {
 	if rb := res.Sketches["x"]; rb == nil || rb.Rows != 2 {
 		t.Fatalf("sketch x = %+v, want the 2 rows before the undecodable record", rb)
 	}
-	if res.Stats.LastLSN != 4 || res.Stats.Applied != 2 {
-		t.Fatalf("LastLSN %d, Applied %d; want 4 and 2", res.Stats.LastLSN, res.Stats.Applied)
+	if res.Stats.LastLSN != 4 || res.Stats.Applied != 2 || res.Stats.Unapplied != 2 {
+		t.Fatalf("LastLSN %d, Applied %d, Unapplied %d; want 4, 2 and 2",
+			res.Stats.LastLSN, res.Stats.Applied, res.Stats.Unapplied)
 	}
 	if !res.Stats.TornTail {
 		t.Fatal("replay stopped at an undecodable record without setting TornTail")
@@ -385,6 +386,46 @@ func TestRebuildReportsUndecodableRecord(t *testing.T) {
 		if !strings.Contains(res.Stats.Warnings[0], want) {
 			t.Fatalf("warning %q does not name %q", res.Stats.Warnings[0], want)
 		}
+	}
+}
+
+// TestRebuildStopsAtZeroWeight: an ingest record whose CRC holds but
+// whose weight is 0 — AppendIngest refuses one, so the test logs it
+// below that check — is undecodable: replay stops there with TornTail
+// and a warning naming its LSN, instead of the weighted update panicking.
+func TestRebuildStopsAtZeroWeight(t *testing.T) {
+	dir := t.TempDir()
+	st := mustOpen(t, dir, nil)
+	if _, err := st.AppendCreate(mustJSON(t, SketchSpec{Name: "w", Kind: "weighted", Bins: 16})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.AppendIngest("w", []string{"a"}, []float64{2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	frame := appendIngestPayload(make([]byte, frameOverhead), "w", []string{"b"}, []float64{0}, nil)
+	sealFrameHeader(frame)
+	st.mu.Lock()
+	lsn, err := st.append(frame)
+	st.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := Rebuild(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb := res.Sketches["w"]; rb == nil || rb.Rows != 1 || rb.Weighted.Total() != 2 {
+		t.Fatalf("sketch w = %+v, want the one row before the zero weight", rb)
+	}
+	if !res.Stats.TornTail || res.Stats.Unapplied != 1 {
+		t.Fatalf("TornTail %v, Unapplied %d; want true and 1", res.Stats.TornTail, res.Stats.Unapplied)
+	}
+	if len(res.Stats.Warnings) != 1 || !strings.Contains(res.Stats.Warnings[0], fmt.Sprintf("lsn %d:", lsn)) {
+		t.Fatalf("warnings = %q, want one naming lsn %d", res.Stats.Warnings, lsn)
 	}
 }
 

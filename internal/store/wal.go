@@ -32,12 +32,12 @@
 // Recovery loads the newest checkpoint generation with a valid manifest,
 // restores each sketch from its state blob, then replays the log tail:
 // every record whose LSN is higher than its sketch's checkpoint LSN is
-// re-applied through the same code paths the live server uses (ingest
-// batches through the batched update paths, pushed snapshots through
-// DecodeBins → MergeBins). A torn record at the log's tail — the expected
-// crash artifact — truncates the log there; corruption in the middle of
-// the log stops replay at the damage and salvages the prefix, never
-// panicking (FuzzWALRecord pins this).
+// re-applied through RebuiltSketch's methods (ApplyIngest for ingest
+// batches, MergePush for pushed snapshots), which are also how the live
+// server and a replication follower change a sketch. A torn record at
+// the log's tail — the expected crash artifact — truncates the log
+// there; corruption in the middle of the log stops replay at the damage
+// and salvages the prefix, never panicking (FuzzWALRecord pins this).
 //
 // # Durability contract
 //
@@ -258,7 +258,7 @@ func decodeIngestBody(body []byte, r *Record) error {
 		r.Weights = make([]float64, n)
 		for i := range r.Weights {
 			r.Weights[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
-			if r.Weights[i] < 0 || math.IsNaN(r.Weights[i]) || math.IsInf(r.Weights[i], 0) {
+			if !replayableWeight(r.Weights[i]) {
 				return fmt.Errorf("store: ingest record %q has invalid weight %v", name, r.Weights[i])
 			}
 		}
