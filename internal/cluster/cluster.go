@@ -395,6 +395,15 @@ func partitionIdx(item string, n int) int {
 	return int(hashx.Sum64a(item) % uint64(n))
 }
 
+// partitionIdxBytes is partitionIdx over an item's bytes, for the text
+// split, which hashes rows in place.
+func partitionIdxBytes(item []byte, n int) int {
+	if n <= 1 {
+		return 0
+	}
+	return int(hashx.Sum64aBytes(item) % uint64(n))
+}
+
 // alive reports whether fan routing currently considers url up.
 func (a *Agent) alive(url string) bool {
 	h := a.health[url]

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -56,14 +57,18 @@ func traceOf(r *http.Request) obs.SpanContext {
 	return sc
 }
 
-// readBody slurps a request body under the configured cap.
+// readBody slurps a request body under the configured cap, into one
+// buffer sized from Content-Length when the client sent it.
 func (a *Agent) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, a.cfg.MaxBodyBytes))
-	if err != nil {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= a.cfg.MaxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead) // MinRead spare: the EOF read needs no growth
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, a.cfg.MaxBodyBytes)); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return nil, false
 	}
-	return body, true
+	return buf.Bytes(), true
 }
 
 // handleCreate creates the sketch on every node: locally first (the
@@ -170,12 +175,12 @@ func (a *Agent) broadcastOthers(ctx context.Context, method, path, rawQuery, cty
 }
 
 // handleIngest fans an ingest batch to the sketch's owner set: the body
-// is parsed once, partitioned by item hash so each item's whole
-// substream lands on one owner, and each partition is queued to its
-// owner with retries and next-owner failover. ?sync=1 waits for every
-// partition to be applied (200); the default acknowledges the fan
-// (202). A partition that fails on every owner fails the request — the
-// rows were never acknowledged.
+// is validated once and split by item hash so each item's whole
+// substream lands on one owner, and each part is queued to its owner
+// with retries and next-owner failover. ?sync=1 waits for every part to
+// be applied (200); the default acknowledges the fan (202). A part that
+// fails on every owner fails the request — the rows were never
+// acknowledged.
 func (a *Agent) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	cfg, ok := a.srv.SketchConfigOf(name)
@@ -187,18 +192,16 @@ func (a *Agent) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	rows, err := server.ParseIngestBody(cfg.Kind, r.Header.Get("Content-Type"), body)
+	owners := a.owners(name)
+	parts, ctype, n, err := splitIngest(cfg.Kind, r.Header.Get("Content-Type"), body, len(owners))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	n := len(rows.Items)
 	if n == 0 {
 		server.WriteJSON(w, http.StatusOK, map[string]any{"rows": 0})
 		return
 	}
-	owners := a.owners(name)
-	parts := partitionRows(rows, len(owners))
 	sync := r.URL.Query().Get("sync") != ""
 	rawQuery := ""
 	if sync {
@@ -206,18 +209,13 @@ func (a *Agent) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	var tasks []*fanTask
 	for idx, part := range parts {
-		if len(part.Items) == 0 {
+		if len(part) == 0 {
 			continue
-		}
-		pbody, perr := renderRows(cfg.Kind, part)
-		if perr != nil {
-			writeError(w, http.StatusInternalServerError, perr)
-			return
 		}
 		t := &fanTask{
 			owners: owners, idx: idx, tried: 1,
 			method: http.MethodPost, path: "/v1/cluster/sketches/" + name + "/ingest",
-			rawQuery: rawQuery, ctype: "application/json", body: pbody,
+			rawQuery: rawQuery, ctype: ctype, body: part,
 			trace: traceOf(r), done: make(chan fanResult, 1),
 		}
 		if !a.fanOut(t) {
@@ -259,6 +257,38 @@ func (a *Agent) handleIngest(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, map[string]any{"rows": n, "fanned": len(tasks), "peers": peers})
 }
 
+// splitIngest cuts an ingest body of content type ctype into n part
+// bodies, part i for owner slot i (empty when the slot has no rows), of
+// content type partType, and counts its rows. A text body is split as
+// received, with no per-row decoding. A JSON body is decoded,
+// partitioned and re-encoded, because a JSON item may hold a newline,
+// which text cannot carry. A rejected body fails with the node's error
+// and yields no part. Each part is a fresh buffer that its fan task
+// owns: delivery, retries and failover may resend it after the handler
+// answered.
+func splitIngest(kind server.Kind, ctype string, body []byte, n int) (parts [][]byte, partType string, rows int, err error) {
+	if !server.JSONIngest(ctype) {
+		parts, rows, err = server.SplitIngestText(kind, body, n, func(item []byte) int {
+			return partitionIdxBytes(item, n)
+		})
+		return parts, "text/plain", rows, err
+	}
+	parsed, err := server.ParseIngestBody(kind, ctype, body)
+	if err != nil {
+		return nil, "", 0, err
+	}
+	parts = make([][]byte, n)
+	for i, part := range partitionRows(parsed, n) {
+		if len(part.Items) == 0 {
+			continue
+		}
+		if parts[i], err = renderRows(kind, part); err != nil {
+			return nil, "", 0, err
+		}
+	}
+	return parts, "application/json", len(parsed.Items), nil
+}
+
 // partitionRows splits a parsed batch into n per-owner column sets by
 // item hash.
 func partitionRows(rows server.IngestRows, n int) []server.IngestRows {
@@ -276,31 +306,44 @@ func partitionRows(rows server.IngestRows, n int) []server.IngestRows {
 	return parts
 }
 
-// renderRows re-encodes one partition as a JSON ingest body.
+// weightedRowJSON and rollupRowJSON are one row of a JSON ingest body as
+// renderRows writes it, in the field names the node's decoder reads.
+type (
+	weightedRowJSON struct {
+		Item   string  `json:"item"`
+		Weight float64 `json:"weight"`
+	}
+	rollupRowJSON struct {
+		Item string `json:"item"`
+		At   int64  `json:"at"`
+	}
+)
+
+// renderRows re-encodes one partition as a JSON ingest body. A parsed
+// body fills the weight column for weighted sketches and the timestamp
+// column for rollups, row for row.
 func renderRows(kind server.Kind, part server.IngestRows) ([]byte, error) {
 	switch kind {
 	case server.KindUnit, server.KindSharded:
-		return json.Marshal(map[string]any{"items": part.Items})
+		return json.Marshal(struct {
+			Items []string `json:"items"`
+		}{part.Items})
 	case server.KindWeighted:
-		rows := make([]map[string]any, len(part.Items))
+		rows := make([]weightedRowJSON, len(part.Items))
 		for i, it := range part.Items {
-			w := 1.0
-			if i < len(part.Weights) {
-				w = part.Weights[i]
-			}
-			rows[i] = map[string]any{"item": it, "weight": w}
+			rows[i] = weightedRowJSON{Item: it, Weight: part.Weights[i]}
 		}
-		return json.Marshal(map[string]any{"rows": rows})
+		return json.Marshal(struct {
+			Rows []weightedRowJSON `json:"rows"`
+		}{rows})
 	case server.KindRollup:
-		rows := make([]map[string]any, len(part.Items))
+		rows := make([]rollupRowJSON, len(part.Items))
 		for i, it := range part.Items {
-			var at int64
-			if i < len(part.Ats) {
-				at = part.Ats[i]
-			}
-			rows[i] = map[string]any{"item": it, "at": at}
+			rows[i] = rollupRowJSON{Item: it, At: part.Ats[i]}
 		}
-		return json.Marshal(map[string]any{"rows": rows})
+		return json.Marshal(struct {
+			Rows []rollupRowJSON `json:"rows"`
+		}{rows})
 	}
 	return nil, fmt.Errorf("unknown kind %q", kind)
 }

@@ -36,3 +36,14 @@ func Sum64a(s string) uint64 {
 	}
 	return h
 }
+
+// Sum64aBytes returns the 64-bit FNV-1a digest of b, identical to
+// Sum64a(string(b)) without the conversion.
+func Sum64aBytes(b []byte) uint64 {
+	h := offset64
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= prime64
+	}
+	return h
+}

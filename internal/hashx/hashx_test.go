@@ -26,6 +26,9 @@ func TestMatchesStdlib(t *testing.T) {
 		if got, want := Sum64a(s), h64.Sum64(); got != want {
 			t.Errorf("Sum64a(%q) = %#x, fnv says %#x", s, got, want)
 		}
+		if got, want := Sum64aBytes([]byte(s)), h64.Sum64(); got != want {
+			t.Errorf("Sum64aBytes(%q) = %#x, fnv says %#x", s, got, want)
+		}
 	}
 }
 

@@ -19,9 +19,9 @@ import (
 // that the HTTP API does not expose directly: exact per-sketch state
 // blobs (the checkpoint encoding, not a lossy snapshot), the inverse
 // restore, a partial's flat bins with a version token, cheap divergence
-// digests for anti-entropy, the ingest body parser so the proxy can
-// partition rows without re-implementing the wire formats, and the
-// point-read handlers bound to a gathered sketch.
+// digests for anti-entropy, the ingest body parser and text split so the
+// proxy can partition rows without re-implementing the wire formats, and
+// the point-read handlers bound to a gathered sketch.
 
 // SketchStats is the exported counter snapshot that travels with a
 // sketch state blob, so a restore lands the counters and the state as
@@ -357,25 +357,64 @@ type IngestRows struct {
 	Ats []int64
 }
 
+// JSONIngest reports whether the ingest handler reads a body of
+// contentType as JSON; it reads any other body as newline text.
+func JSONIngest(contentType string) bool {
+	return strings.HasPrefix(contentType, "application/json")
+}
+
 // ParseIngestBody decodes an ingest request body exactly as the ingest
 // handler does — newline text unless contentType is application/json —
-// into columnar rows. The cluster proxy uses it to partition a batch
-// across owner nodes without re-implementing either wire format;
+// into columnar rows. The cluster proxy uses it to partition a JSON
+// batch across owner nodes without re-implementing the wire format;
 // rejected bodies fail here with the same errors the handler returns.
 func ParseIngestBody(kind Kind, contentType string, body []byte) (IngestRows, error) {
 	b := &ingestBatch{buf: body}
-	if !strings.HasPrefix(contentType, "application/json") {
-		if err := b.parseText(kind); err != nil {
-			return IngestRows{}, err
-		}
-		return IngestRows{Items: b.items, Weights: b.ws, Ats: b.ats}, nil
-	}
-	var req ingestJSON
-	if err := json.Unmarshal(body, &req); err != nil {
-		return IngestRows{}, fmt.Errorf("decode ingest body: %w", err)
-	}
-	if err := b.appendJSONRows(kind, &req); err != nil {
+	if err := b.parse(kind, contentType); err != nil {
 		return IngestRows{}, err
 	}
 	return IngestRows{Items: b.items, Weights: b.ws, Ats: b.ats}, nil
+}
+
+// SplitIngestText cuts a newline-text ingest body into n bodies, one per
+// owner slot, for the cluster proxy. It first validates the whole body
+// as the ingest handler parses it, with the same errors and line
+// numbers, so a rejected body yields no part. Then it appends each row
+// to parts[owner(item)] as it was received: the line's bytes up to its
+// '\n', a trailing CR included, then '\n' (a last row without one gets
+// one). Blank lines are dropped. A part therefore parses on its owner to
+// exactly the rows of that slot, in body order. owner maps an item to
+// [0, n) and must not retain it; it is called twice per row. The parts
+// share one allocation sized from the body, and rows counts the body's
+// rows.
+func SplitIngestText(kind Kind, body []byte, n int, owner func(item []byte) int) (parts [][]byte, rows int, err error) {
+	whole := wholeRow(kind)
+	sizes, total := make([]int, n), 0
+	s := textScanner{rest: body}
+	for s.next() {
+		item := s.row()
+		if !whole {
+			if item, _, _, err = parseTabRow(kind, item, s.line); err != nil {
+				return nil, 0, err
+			}
+		}
+		sizes[owner(item)] += len(s.raw) + 1
+		total += len(s.raw) + 1
+		rows++
+	}
+	buf := make([]byte, total)
+	parts = make([][]byte, n)
+	for p, size := range sizes {
+		parts[p], buf = buf[:0:size], buf[size:]
+	}
+	s = textScanner{rest: body}
+	for s.next() {
+		item := s.row()
+		if !whole {
+			item, _, _ = cutTab(item) // a valid row's item precedes its first tab
+		}
+		p := owner(item)
+		parts[p] = append(append(parts[p], s.raw...), '\n')
+	}
+	return parts, rows, nil
 }

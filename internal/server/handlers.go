@@ -296,26 +296,32 @@ func (s *Server) write(w http.ResponseWriter, r *http.Request, j ingestJob, what
 	return res, true, true
 }
 
-// decodeIngest parses the request body into b according to content type:
-// anything but application/json takes the pooled newline-text path.
+// decodeIngest reads the request body into b's pooled buffer and parses
+// it according to content type.
 func (s *Server) decodeIngest(r *http.Request, kind Kind, b *ingestBatch) error {
-	if ct := r.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		if err := b.readBody(r.Body, s.cfg.MaxBodyBytes); err != nil {
-			return err
-		}
+	if err := b.readBody(r.Body, s.cfg.MaxBodyBytes); err != nil {
+		return err
+	}
+	return b.parse(kind, r.Header.Get("Content-Type"))
+}
+
+// parse decodes b.buf, an ingest body of contentType, into the batch's
+// columns: JSON for application/json, newline text otherwise.
+func (b *ingestBatch) parse(kind Kind, contentType string) error {
+	if !JSONIngest(contentType) {
 		return b.parseText(kind)
 	}
+	// Unmarshal, unlike a stream decoder, rejects anything but
+	// whitespace after the first value.
 	var req ingestJSON
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
+	if err := json.Unmarshal(b.buf, &req); err != nil {
 		return fmt.Errorf("decode ingest body: %w", err)
 	}
 	return b.appendJSONRows(kind, &req)
 }
 
 // appendJSONRows validates a decoded JSON ingest body and appends its
-// rows to the batch's columns — shared by the ingest handler and
-// ParseIngestBody so the proxy and the node reject identical bodies.
+// rows to the batch's columns.
 func (b *ingestBatch) appendJSONRows(kind Kind, req *ingestJSON) error {
 	if len(req.Items) > 0 {
 		if kind == KindRollup {

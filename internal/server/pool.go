@@ -82,72 +82,113 @@ func (b *ingestBatch) readBody(r io.Reader, limit int64) error {
 	}
 }
 
-// parseText parses the newline-separated text ingest format into the
-// batch's columns. Each line is one row:
+// parseText parses the newline-separated text ingest format (see
+// textScanner) into the batch's columns, one item string per row.
+func (b *ingestBatch) parseText(kind Kind) error {
+	s := textScanner{rest: b.buf}
+	if wholeRow(kind) {
+		for s.next() {
+			b.items = append(b.items, string(s.row()))
+		}
+		return nil
+	}
+	for s.next() {
+		item, w, at, err := parseTabRow(kind, s.row(), s.line)
+		if err != nil {
+			return err
+		}
+		b.items = append(b.items, string(item))
+		if kind == KindWeighted {
+			b.ws = append(b.ws, w)
+		} else {
+			b.ats = append(b.ats, at)
+		}
+	}
+	return nil
+}
+
+// textScanner cuts a newline-separated text ingest body into rows. Each
+// line is one row:
 //
 //	unit, sharded:  item
 //	weighted:       item [TAB weight]     (weight defaults to 1)
 //	rollup:         item TAB timestamp    (integer, the row's window time)
 //
-// Empty lines are skipped; a trailing CR (CRLF input) is trimmed. For the
-// tab-separated kinds the item must not itself contain a tab.
-func (b *ingestBatch) parseText(kind Kind) error {
-	buf := b.buf
-	line := 0
-	for len(buf) > 0 {
-		line++
-		nl := -1
-		for i, c := range buf {
-			if c == '\n' {
-				nl = i
-				break
-			}
+// Empty lines are skipped; one trailing CR (CRLF input) is trimmed.
+// Lines are numbered from 1, blank ones included, for parseTabRow's
+// errors. For the tab-separated kinds the item must not itself contain
+// a tab. The node's parser (parseText) and the cluster split
+// (SplitIngestText) both read bodies through it and parseTabRow, so they
+// accept, reject and number rows alike.
+type textScanner struct {
+	rest []byte // the body not yet cut
+	line int    // the current row's line number
+	raw  []byte // the current row as received, up to its '\n': a trailing CR stays
+	n    int    // len(raw) less that CR
+}
+
+// next advances to the next non-blank row; it reports false at the end
+// of the body. Every row a node ingests passes here, so next stays
+// within the compiler's inlining budget: inlined, its byte loop runs on
+// the caller's locals, with no call and no write barrier per row.
+func (s *textScanner) next() bool {
+	for len(s.rest) > 0 {
+		s.line++
+		rest := s.rest
+		n := 0
+		for n < len(rest) && rest[n] != '\n' {
+			n++
 		}
-		var row []byte
-		if nl >= 0 {
-			row, buf = buf[:nl], buf[nl+1:]
-		} else {
-			row, buf = buf, nil
+		s.raw, s.rest = rest[:n], rest[min(n+1, len(rest)):]
+		if n > 0 && rest[n-1] == '\r' {
+			n--
 		}
-		if len(row) > 0 && row[len(row)-1] == '\r' {
-			row = row[:len(row)-1]
-		}
-		if len(row) == 0 {
-			continue
-		}
-		switch kind {
-		case KindUnit, KindSharded:
-			b.items = append(b.items, string(row))
-		case KindWeighted:
-			item, rest, hasTab := cutTab(row)
-			w := 1.0
-			if hasTab {
-				var err error
-				w, err = strconv.ParseFloat(string(rest), 64)
-				// ParseFloat accepts NaN and Inf; neither is a weight.
-				if err != nil || !(w > 0) || math.IsInf(w, 0) {
-					return fmt.Errorf("line %d: bad weight %q", line, rest)
-				}
-			}
-			if len(item) == 0 {
-				return fmt.Errorf("line %d: empty item", line)
-			}
-			b.items = append(b.items, string(item))
-			b.ws = append(b.ws, w)
-		case KindRollup:
-			item, rest, hasTab := cutTab(row)
-			if !hasTab || len(item) == 0 {
-				return fmt.Errorf("line %d: rollup rows need item TAB timestamp", line)
-			}
-			at, err := strconv.ParseInt(string(rest), 10, 64)
-			if err != nil {
-				return fmt.Errorf("line %d: bad timestamp %q", line, rest)
-			}
-			b.items = append(b.items, string(item))
-			b.ats = append(b.ats, at)
+		if s.n = n; n > 0 {
+			return true
 		}
 	}
-	return nil
+	return false
+}
+
+// row returns the current row less its trailing CR.
+func (s *textScanner) row() []byte { return s.raw[:s.n] }
+
+// wholeRow reports whether a text row of kind is all item: unit and
+// sharded rows carry no tab-separated column to validate.
+func wholeRow(kind Kind) bool { return kind == KindUnit || kind == KindSharded }
+
+// parseTabRow validates row, the text of line line less its trailing
+// CR, for a tab-separated kind. It returns the row's item, a view of
+// row, and its weight (weighted) or timestamp (rollup).
+func parseTabRow(kind Kind, row []byte, line int) ([]byte, float64, int64, error) {
+	switch kind {
+	case KindWeighted:
+		item, rest, hasTab := cutTab(row)
+		w := 1.0
+		if hasTab {
+			var err error
+			w, err = strconv.ParseFloat(string(rest), 64)
+			// ParseFloat accepts NaN and Inf; neither is a weight.
+			if err != nil || !(w > 0) || math.IsInf(w, 0) {
+				return nil, 0, 0, fmt.Errorf("line %d: bad weight %q", line, rest)
+			}
+		}
+		if len(item) == 0 {
+			return nil, 0, 0, fmt.Errorf("line %d: empty item", line)
+		}
+		return item, w, 0, nil
+	case KindRollup:
+		item, rest, hasTab := cutTab(row)
+		if !hasTab || len(item) == 0 {
+			return nil, 0, 0, fmt.Errorf("line %d: rollup rows need item TAB timestamp", line)
+		}
+		at, err := strconv.ParseInt(string(rest), 10, 64)
+		if err != nil {
+			return nil, 0, 0, fmt.Errorf("line %d: bad timestamp %q", line, rest)
+		}
+		return item, 1, at, nil
+	}
+	return nil, 0, 0, fmt.Errorf("unknown kind %q", kind)
 }
 
 // cutTab splits row at its first tab.
