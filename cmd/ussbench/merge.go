@@ -1,14 +1,14 @@
 package main
 
-// ussbench -bench merge: the k-way shard-merge kernel, sequential vs
-// parallel tree-reduce. Synthesizes item-disjoint ascending shard runs
-// (the exact shape ShardedSketch.Snapshot feeds SumDisjointAscending)
-// plus overlapping gather lists (the cluster path through SumBins), and
-// reports merged bins/s at each parallelism. The parallel results are
-// asserted bit-identical to the sequential ones on every rep — this
-// bench doubles as a live equivalence check on realistic sizes.
+// ussbench -bench merge: the overlapping merge kernel the cluster gather
+// runs, sequential vs parallel tree merge. Synthesizes gather-shaped
+// lists (the same item universe in every list, so SumBins has real
+// folding to do) and reports merged bins/s at each parallelism. The
+// parallel results are asserted bit-identical to the sequential ones on
+// every rep — this bench doubles as a live equivalence check on
+// realistic sizes.
 //
-// Only the sequential rates carry the gated _rows_per_second suffix:
+// Only the sequential rate carries the gated _rows_per_second suffix:
 // per-parallelism rates on few-core machines are scheduler noise (on
 // 1 CPU the "parallel" runs are the same work plus goroutine churn),
 // so they are recorded informationally as _bins_per_second and the
@@ -19,33 +19,9 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
-	"sort"
 
 	"repro/internal/core"
 )
-
-// synthShardRuns builds `shards` item-disjoint, ascending bin lists of
-// `per` bins each — the post-snapshot shape of a sharded sketch.
-func synthShardRuns(rng *rand.Rand, shards, per int) [][]core.Bin {
-	lists := make([][]core.Bin, shards)
-	for s := range lists {
-		bins := make([]core.Bin, per)
-		for i := range bins {
-			bins[i] = core.Bin{
-				Item:  fmt.Sprintf("s%02d-item-%07d", s, i),
-				Count: float64(rng.Intn(1_000_000)) + rng.Float64(),
-			}
-		}
-		sort.Slice(bins, func(i, j int) bool {
-			if bins[i].Count != bins[j].Count {
-				return bins[i].Count < bins[j].Count
-			}
-			return bins[i].Item < bins[j].Item
-		})
-		lists[s] = bins
-	}
-	return lists
-}
 
 // synthOverlapLists builds gather-shaped lists: same item universe in
 // every list, so SumBins has real folding to do.
@@ -77,58 +53,31 @@ func binsIdentical(a, b []core.Bin) bool {
 	return true
 }
 
-// perfMerge benchmarks SumDisjointAscending against SumDisjointParallel
-// (and SumBins against SumBinsParallel) across parallelism levels.
+// perfMerge benchmarks SumBins against SumBinsParallel across
+// parallelism levels.
 func perfMerge(w io.Writer, rec *benchRecorder, scale float64) error {
-	shards := 16
-	per := int(32768 * scale)
-	if per < 256 {
-		per = 256
+	const lists = 8
+	per := int(16384 * scale)
+	if per < 128 {
+		per = 128
 	}
 	rng := rand.New(rand.NewSource(20180614))
-	runs := synthShardRuns(rng, shards, per)
-	overlap := synthOverlapLists(rng, 8, per/2)
-	totalBins := shards * per
+	overlap := synthOverlapLists(rng, lists, per)
 
-	fmt.Fprintf(w, "# merge: %d disjoint shard runs × %d bins (%d total), GOMAXPROCS=%d\n",
-		shards, per, totalBins, runtime.GOMAXPROCS(0))
-	rec.set("shards", shards)
-	rec.set("bins_per_shard", per)
+	fmt.Fprintf(w, "# merge: %d overlapping gather lists × %d bins (%d total), GOMAXPROCS=%d\n",
+		lists, per, lists*per, runtime.GOMAXPROCS(0))
+	rec.set("lists", lists)
+	rec.set("bins_per_list", per)
 	rec.set("gomaxprocs", runtime.GOMAXPROCS(0))
 
-	seq := core.SumDisjointAscending(runs...)
-	tSeq := timeOp(func() { core.SumDisjointAscending(runs...) })
-	seqRate := float64(totalBins) / tSeq.Seconds()
-	fmt.Fprintf(w, "%-34s %14v %14.0f bins/s %8s\n", "disjoint k-way, sequential", tSeq, seqRate, "1.0x")
-	rec.set("disjoint_seq", tSeq)
-	rec.set("disjoint_seq_rows_per_second", seqRate)
-
-	pars := []int{2, 4, 8}
-	for _, par := range pars {
-		got := core.SumDisjointParallel(par, runs...)
-		if !binsIdentical(seq, got) {
-			return fmt.Errorf("SumDisjointParallel(par=%d) diverged from sequential merge", par)
-		}
-		t := timeOp(func() { core.SumDisjointParallel(par, runs...) })
-		rate := float64(totalBins) / t.Seconds()
-		fmt.Fprintf(w, "%-34s %14v %14.0f bins/s %7.1fx\n",
-			fmt.Sprintf("disjoint k-way, parallel=%d", par), t, rate, float64(tSeq)/float64(t))
-		rec.set(fmt.Sprintf("disjoint_par%d", par), t)
-		rec.set(fmt.Sprintf("disjoint_par%d_bins_per_second", par), rate)
-		rec.set(fmt.Sprintf("disjoint_par%d_speedup", par), float64(tSeq)/float64(t))
-	}
-
-	overlapBins := 0
-	for _, l := range overlap {
-		overlapBins += len(l)
-	}
+	overlapBins := lists * per
 	seqO := core.SumBins(overlap...)
 	tSeqO := timeOp(func() { core.SumBins(overlap...) })
 	fmt.Fprintf(w, "%-34s %14v %14.0f bins/s %8s\n", "overlapping sum, sequential", tSeqO,
 		float64(overlapBins)/tSeqO.Seconds(), "1.0x")
 	rec.set("overlap_seq", tSeqO)
 	rec.set("overlap_seq_rows_per_second", float64(overlapBins)/tSeqO.Seconds())
-	for _, par := range pars {
+	for _, par := range []int{2, 4, 8} {
 		got := core.SumBinsParallel(par, overlap...)
 		if !binsIdentical(seqO, got) {
 			return fmt.Errorf("SumBinsParallel(par=%d) diverged from sequential merge", par)

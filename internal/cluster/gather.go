@@ -76,8 +76,8 @@ const (
 // merged collapses the gathered partials into one exact bin list. The
 // partials are disjoint substreams, so with the merge budget set to the
 // union size nothing reduces and the result is the item-wise sum. Large
-// gathers fan the sum out across uss.MergeParallelism goroutines; the
-// parallel merge is bit-identical to the sequential one.
+// gathers fan the sum out across GOMAXPROCS goroutines; the parallel
+// merge is bit-identical to the sequential one.
 func (g *gathered) merged() []uss.Bin {
 	lists := make([][]uss.Bin, len(g.parts))
 	m := 0

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	uss "repro"
 	"repro/internal/server"
 	"repro/internal/workload"
 )
@@ -350,6 +351,66 @@ func (tc *testCluster) rowsOf(name string) []int64 {
 			tc.t.Fatalf("state of %s on node %d: %v", name, i, err)
 		}
 		out[i] = st.Rows
+	}
+	return out
+}
+
+// TestOversizeBodyAnswersLikeNode caps bodies at 64 bytes on every node
+// and agent of a 3-node cluster: an oversize ingest, push or create gets
+// the same 413 and text from the proxy as from a node, and nothing is
+// applied or created.
+func TestOversizeBodyAnswersLikeNode(t *testing.T) {
+	const limit = 64
+	tc := newTestClusterOf(t, 3, func(c *Config) {
+		c.ReplicationFactor = 3
+		c.MaxBodyBytes = limit
+	}, func(int) *server.Server { return server.New(server.Config{MaxBodyBytes: limit}) })
+	tc.create(0, server.SketchConfig{Name: "u", Kind: server.KindUnit, Bins: 16})
+	tc.create(0, server.SketchConfig{Name: "w", Kind: server.KindWeighted, Bins: 16})
+	pushed, err := uss.EncodeBins(16, []uss.Bin{{Item: "alpha", Count: 3}, {Item: "beta", Count: 2}, {Item: "gamma", Count: 1}, {Item: "delta", Count: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	create := `{"name":"big","kind":"unit","bins":16}` + strings.Repeat(" ", limit)
+	want := fmt.Sprintf(`{"error":"request body exceeds %d bytes"}`, limit)
+	for _, c := range []struct{ name, proxy, node, ctype, body string }{
+		{"ingest", "/v1/sketches/u/ingest?sync=1", "/v1/cluster/sketches/u/ingest?sync=1", "text/plain", strings.Repeat("item\n", 20)},
+		{"push", "/v1/sketches/w/snapshot", "/v1/cluster/sketches/w/snapshot", "application/octet-stream", string(pushed)},
+		{"create", "/v1/sketches", "/v1/cluster/sketches", "application/json", create},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if len(c.body) <= limit {
+				t.Fatalf("body of %d bytes is not oversize", len(c.body))
+			}
+			rows, pushes := tc.rowsOf("u"), tc.pushesOf("w")
+			code, proxied := tc.post(0, c.proxy, c.ctype, c.body)
+			nodeCode, node := tc.post(1, c.node, c.ctype, c.body)
+			if code != http.StatusRequestEntityTooLarge || nodeCode != code || !bytes.Equal(proxied, node) ||
+				strings.TrimSpace(string(node)) != want {
+				t.Fatalf("proxy answered %d %s, node %d %s; want 413 %s from both", code, proxied, nodeCode, node, want)
+			}
+			if !slices.Equal(tc.rowsOf("u"), rows) || !slices.Equal(tc.pushesOf("w"), pushes) {
+				t.Fatal("an oversize body was applied")
+			}
+			for i, srv := range tc.srvs {
+				if _, ok := srv.SketchConfigOf("big"); ok {
+					t.Fatalf("an oversize create made sketch big on node %d", i)
+				}
+			}
+		})
+	}
+}
+
+// pushesOf returns each node's merged-snapshot count for name.
+func (tc *testCluster) pushesOf(name string) []int64 {
+	tc.t.Helper()
+	out := make([]int64, len(tc.srvs))
+	for i, srv := range tc.srvs {
+		_, st, _, err := srv.SketchState(name)
+		if err != nil {
+			tc.t.Fatalf("state of %s on node %d: %v", name, i, err)
+		}
+		out[i] = st.Pushes
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -57,27 +56,13 @@ func traceOf(r *http.Request) obs.SpanContext {
 	return sc
 }
 
-// readBody slurps a request body under the configured cap, into one
-// buffer sized from Content-Length when the client sent it.
-func (a *Agent) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	var buf bytes.Buffer
-	if n := r.ContentLength; n > 0 && n <= a.cfg.MaxBodyBytes {
-		buf.Grow(int(n) + bytes.MinRead) // MinRead spare: the EOF read needs no growth
-	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, a.cfg.MaxBodyBytes)); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
-		return nil, false
-	}
-	return buf.Bytes(), true
-}
-
 // handleCreate creates the sketch on every node: locally first (the
 // authoritative answer — 409 for a duplicate, 400 for a bad config),
 // then broadcast to the peers. A peer that is down simply misses the
 // create; anti-entropy's manifest convergence installs it on rejoin, so
 // the response only marks the miss as degraded.
 func (a *Agent) handleCreate(w http.ResponseWriter, r *http.Request) {
-	body, ok := a.readBody(w, r)
+	body, ok := server.ReadBody(w, r, nil, a.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}
@@ -188,7 +173,7 @@ func (a *Agent) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("sketch %q: %w", name, server.ErrNotFound))
 		return
 	}
-	body, ok := a.readBody(w, r)
+	body, ok := server.ReadBody(w, r, nil, a.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}
@@ -364,7 +349,7 @@ func (a *Agent) handlePushFan(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("sketch %q is %s; snapshots push into weighted sketches", name, cfg.Kind))
 		return
 	}
-	body, ok := a.readBody(w, r)
+	body, ok := server.ReadBody(w, r, nil, a.cfg.MaxBodyBytes)
 	if !ok {
 		return
 	}

@@ -79,9 +79,9 @@ func sortByItemStable(bins []Bin) {
 }
 
 // SumDisjointAscending sums bin lists known to share no items — the
-// shard-partitioned shape ShardedSketch produces, where each item's rows
-// all hash to one shard — via a k-way merge over the inputs' ascending bin
-// lists. With no item appearing twice, the exact item-wise sum needs no
+// shard-partitioned shape of a ShardedSketch snapshot, where each item's
+// rows all hash to one shard — via a k-way merge over the inputs'
+// ascending bin lists. With no item appearing twice, the exact item-wise sum needs no
 // aggregation at all, so the merge is a single pass: one output
 // allocation, no hashing, no re-sort. Each input must be in ascending
 // count order (the order Sketch.Bins returns); the output is in ascending

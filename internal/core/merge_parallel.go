@@ -8,15 +8,10 @@ import (
 
 // Parallel counterparts of the merge kernels (§5.5's aggregation shape,
 // run wide). The parallelism only ever touches the deterministic summing
-// half of a merge — leaf runs merged one goroutine per group, then a
-// pairwise tree reduction of runs — and every parallel entry point is
+// half of a merge — leaf runs sorted one goroutine per group, then a
+// pairwise tree merge of runs — and every parallel entry point is
 // bit-identical to its sequential counterpart:
 //
-//   - SumDisjointParallel: item-disjoint inputs make every (count, item)
-//     key distinct, so the ascending sort of the union is unique and any
-//     merge order yields the same sequence. No addition happens at all
-//     (each item appears once), so there is no floating-point
-//     reassociation to worry about either.
 //   - SumBinsParallel: the parallel phase is a stable merge sort by item
 //     over contiguous ranges of the concatenated input — exactly the
 //     stable sort SumBins performs — and the duplicate fold plus final
@@ -32,76 +27,6 @@ import (
 // parallel entry points fall back to their sequential counterparts:
 // under ~8Ki bins the goroutine handoff costs more than the merge.
 const ParallelMergeCutoff = 8192
-
-// SumDisjointParallel is SumDisjointAscending fanned out over par
-// goroutines: the input lists are split into contiguous groups of
-// roughly equal total size, each group k-way merged into a
-// structure-of-arrays run by its own goroutine, and the runs combined by
-// a pairwise merge tree. Output is bit-identical to SumDisjointAscending
-// for any par. par <= 1, few lists, or fewer than ParallelMergeCutoff
-// total bins fall back to the sequential kernel.
-func SumDisjointParallel(par int, lists ...[]Bin) []Bin {
-	n := 0
-	for _, l := range lists {
-		n += len(l)
-	}
-	if par > len(lists) {
-		par = len(lists)
-	}
-	if par <= 1 || n < ParallelMergeCutoff {
-		return SumDisjointAscending(lists...)
-	}
-
-	// Leaves: contiguous groups balanced by total bin count, one
-	// goroutine per group feeding the PR 2 cursor heap.
-	runs := make([]*soaRun, 0, par)
-	var wg sync.WaitGroup
-	target := (n + par - 1) / par
-	start, size := 0, 0
-	for i, l := range lists {
-		size += len(l)
-		if size >= target || i == len(lists)-1 {
-			r := getSoA()
-			runs = append(runs, r)
-			group, gn := lists[start:i+1], size
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				r.fromDisjoint(group, gn)
-			}()
-			start, size = i+1, 0
-		}
-	}
-	wg.Wait()
-
-	// Tree reduction: pairwise-merge runs until one remains. Disjoint
-	// items mean any pairing order produces the same unique ascending
-	// sequence, so the tree shape is free to follow the goroutine count.
-	for len(runs) > 1 {
-		next := make([]*soaRun, 0, (len(runs)+1)/2)
-		var mw sync.WaitGroup
-		for i := 0; i+1 < len(runs); i += 2 {
-			a, b := runs[i], runs[i+1]
-			dst := getSoA()
-			next = append(next, dst)
-			mw.Add(1)
-			go func() {
-				defer mw.Done()
-				mergeSoA(dst, a, b)
-				putSoA(a)
-				putSoA(b)
-			}()
-		}
-		if len(runs)%2 == 1 {
-			next = append(next, runs[len(runs)-1])
-		}
-		mw.Wait()
-		runs = next
-	}
-	out := runs[0].appendBins(make([]Bin, 0, n))
-	putSoA(runs[0])
-	return out
-}
 
 // SumBinsParallel is SumBins fanned out over par goroutines. The
 // concatenated input is stable-sorted by item as contiguous per-group

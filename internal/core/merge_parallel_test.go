@@ -68,33 +68,6 @@ func binsEqual(t *testing.T, label string, got, want []Bin) {
 	}
 }
 
-func TestSumDisjointParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(9001))
-	pars := []int{1, 2, 3, 4, runtime.NumCPU(), 2*runtime.NumCPU() + 1, 64}
-	for trial := 0; trial < 40; trial++ {
-		nlists := 1 + rng.Intn(12)
-		maxLen := 1 + rng.Intn(2500)
-		lists := randDisjointLists(rng, nlists, maxLen, trial%2 == 0)
-		want := SumDisjointAscending(lists...)
-		for _, par := range pars {
-			got := SumDisjointParallel(par, lists...)
-			binsEqual(t, fmt.Sprintf("trial %d par %d", trial, par), got, want)
-		}
-	}
-}
-
-func TestSumDisjointParallelAboveCutoff(t *testing.T) {
-	// Force the parallel path (total well above ParallelMergeCutoff) and
-	// check against the sequential kernel on a big input.
-	rng := rand.New(rand.NewSource(77))
-	lists := randDisjointLists(rng, 16, ParallelMergeCutoff/2, false)
-	want := SumDisjointAscending(lists...)
-	for _, par := range []int{2, 4, 8, runtime.NumCPU() + 3} {
-		got := SumDisjointParallel(par, lists...)
-		binsEqual(t, fmt.Sprintf("par %d", par), got, want)
-	}
-}
-
 func TestSumBinsParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	pars := []int{1, 2, 3, 5, runtime.NumCPU(), 3 * runtime.NumCPU()}
@@ -137,42 +110,5 @@ func TestMergeBinsParallelMatchesSequential(t *testing.T) {
 		want := MergeBins(m, kind, rand.New(rand.NewSource(seed)), lists...)
 		got := MergeBinsParallel(m, kind, rand.New(rand.NewSource(seed)), par, lists...)
 		binsEqual(t, fmt.Sprintf("trial %d kind %v m %d par %d", trial, kind, m, par), got, want)
-	}
-}
-
-func TestMergeSoAZeroAlloc(t *testing.T) {
-	// The SoA merge kernel itself must not allocate once its destination
-	// has capacity: the parallel refill's steady-state cost is the final
-	// []Bin conversion only.
-	rng := rand.New(rand.NewSource(5))
-	lists := randDisjointLists(rng, 2, 4096, true)
-	var a, b, dst soaRun
-	a.fromDisjoint(lists[:1], len(lists[0]))
-	b.fromDisjoint(lists[1:], len(lists[1]))
-	mergeSoA(&dst, &a, &b) // size dst once
-	allocs := testing.AllocsPerRun(50, func() {
-		mergeSoA(&dst, &a, &b)
-	})
-	if allocs != 0 {
-		t.Fatalf("mergeSoA allocates %.1f times per run, want 0", allocs)
-	}
-}
-
-func BenchmarkSumDisjoint(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	lists := randDisjointLists(rng, 8, 8192, true)
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			SumDisjointAscending(lists...)
-		}
-	})
-	for _, par := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("parallel-%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				SumDisjointParallel(par, lists...)
-			}
-		})
 	}
 }

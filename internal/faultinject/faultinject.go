@@ -29,6 +29,7 @@
 //	cluster.drop-fan      cluster fan: drop a queued delivery before the send (retries heal)
 //	cluster.slow-peer     cluster: stall a node before it serves an exact-state read
 //	cluster.partial-read  cluster gather: force one owner partial to miss (degraded path)
+//	server.stall-live     server: stall a request between its sketch's liveness check and its use
 //	disk.enospc           store: report zero free disk space to the watermark check
 //	wal.fail-fsync        store: fail the fsync call itself (not just the write)
 //

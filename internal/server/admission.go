@@ -22,11 +22,14 @@ package server
 //     the blob. Checkpoints read the blob directly, so durability never
 //     depends on reviving.
 //
-// Demotion safety: an entry is demoted only when nothing is in flight
-// for it (appendedLSN == appliedLSN) and it has been untouched for
-// ColdAfter. Every access path bumps lastAccess through ensureLive
-// before touching sketch pointers, so ColdAfter merely needs to exceed
-// the request timeout for in-flight requests to be safe.
+// Demotion safety: an entry is demoted only when no write is in flight
+// for it (appendedLSN == appliedLSN), so a write always applies to the
+// registry's sketch. Reads need no such guard: every request resolves
+// its sketch once, through ensureLive, and a demotion only drops the
+// registry's reference to it, so a read that raced one answers from the
+// sketch it holds — the entry's exact state at the demotion, since any
+// write after it revives a new sketch from the blob. ColdAfter and
+// lastAccess only pick which idle entries to demote.
 
 import (
 	"fmt"
@@ -40,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/store"
 )
 
@@ -147,18 +151,31 @@ func (e *entry) takeTokens(n, rate, burst float64) (bool, time.Duration) {
 	return false, time.Duration((n - e.tbTokens) / rate * float64(time.Second))
 }
 
-// ensureLive stamps the entry's access time and, when it was demoted,
-// restores its sketch from the cold blob. Every path that touches an
-// entry's sketch goes through here first.
-func (s *Server) ensureLive(e *entry) error {
+// ensureLive stamps the entry's access time and returns its live
+// sketch, restoring it from the cold blob when it was demoted. Every
+// path that touches an entry's sketch goes through here first and then
+// uses the sketch returned, never e.sk: a demotion may drop e.sk at any
+// point after this returns.
+func (s *Server) ensureLive(e *entry) (*store.RebuiltSketch, error) {
 	e.lastAccess.Store(time.Now().UnixNano())
-	if !e.cold.Load() {
-		return nil
+	sk := e.sk.Load()
+	if sk == nil {
+		var err error
+		if sk, err = s.revive(e); err != nil {
+			return nil, err
+		}
 	}
+	faultinject.Sleep("server.stall-live", 300*time.Millisecond)
+	return sk, nil
+}
+
+// revive restores a demoted entry's sketch from its cold blob, unless a
+// concurrent revive already did, and returns the live sketch.
+func (s *Server) revive(e *entry) (*store.RebuiltSketch, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.cold.Load() {
-		return nil
+	if sk := e.sk.Load(); sk != nil {
+		return sk, nil
 	}
 	var rb *store.RebuiltSketch
 	blob, err := os.ReadFile(e.coldPath)
@@ -171,33 +188,33 @@ func (s *Server) ensureLive(e *entry) error {
 	if err != nil {
 		s.met.reviveErrors.Add(1)
 		s.log.Warn("sketch revive failed", "sketch", e.cfg.Name, "err", err)
-		return fmt.Errorf("revive sketch %q: %w", e.cfg.Name, err)
+		return nil, fmt.Errorf("revive sketch %q: %w", e.cfg.Name, err)
 	}
-	e.sk = rb
+	e.sk.Store(rb)
 	e.gen = rand.Uint64()
-	e.cold.Store(false)
 	_ = os.Remove(e.coldPath)
 	s.met.revivals.Add(1)
-	return nil
+	return rb, nil
 }
 
 // sizeTotalLocked reads the sketch's occupied bins, total mass and, for
 // a rollup, its window count (a rollup reports no size). Caller holds
 // e.mu on a live entry.
 func (e *entry) sizeTotalLocked() (size int, total float64, windows int) {
+	sk := e.sk.Load()
 	switch e.cfg.Kind {
 	case KindUnit:
-		return e.sk.Unit.Size(), e.sk.Unit.Total(), 0
+		return sk.Unit.Size(), sk.Unit.Total(), 0
 	case KindWeighted:
-		return e.sk.Weighted.Size(), e.sk.Weighted.Total(), 0
+		return sk.Weighted.Size(), sk.Weighted.Total(), 0
 	case KindSharded:
-		return e.sk.Sharded.Size(), e.sk.Sharded.Total(), 0
+		return sk.Sharded.Size(), sk.Sharded.Total(), 0
 	}
-	ws := e.sk.Rollup.Windows()
+	ws := sk.Rollup.Windows()
 	if len(ws) == 0 {
 		return 0, 0, 0
 	}
-	return 0, e.sk.Rollup.TotalRange(ws[0], ws[len(ws)-1]), len(ws)
+	return 0, sk.Rollup.TotalRange(ws[0], ws[len(ws)-1]), len(ws)
 }
 
 // demote encodes the entry's exact state to its cold blob and frees the
@@ -207,7 +224,7 @@ func (e *entry) sizeTotalLocked() (size int, total float64, windows int) {
 func (s *Server) demote(e *entry) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.cold.Load() || e.appendedLSN.Load() != e.appliedLSN.Load() {
+	if e.sk.Load() == nil || e.appendedLSN.Load() != e.appliedLSN.Load() {
 		return false
 	}
 	blob, err := e.encodeState()
@@ -224,8 +241,8 @@ func (s *Server) demote(e *entry) bool {
 		return false
 	}
 	e.coldPath, e.coldSize, e.coldTotal = path, size, total
-	e.sk, e.qe, e.prep, e.enc = nil, nil, nil, nil
-	e.cold.Store(true)
+	e.sk.Store(nil)
+	e.qe, e.prep, e.enc = nil, nil, nil
 	s.met.demotions.Add(1)
 	return true
 }
@@ -242,7 +259,7 @@ func (s *Server) maybeDemote() {
 	var est int64
 	var cands []*entry
 	for _, e := range s.reg.List() {
-		if e.cold.Load() {
+		if e.sk.Load() == nil {
 			continue
 		}
 		est += int64(e.capacity()) * bytesPerBin

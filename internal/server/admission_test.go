@@ -1,14 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	uss "repro"
 	"repro/internal/faultinject"
 	"repro/internal/store"
 )
@@ -198,7 +202,7 @@ func TestDemoteRevive(t *testing.T) {
 	time.Sleep(time.Millisecond) // outlive ColdAfter
 	s.maybeDemote()
 	e, _ := s.reg.Get("x")
-	if !e.cold.Load() {
+	if e.sk.Load() != nil {
 		t.Fatal("maybeDemote left the idle sketch live over the watermark")
 	}
 	if _, err := os.Stat(e.coldPath); err != nil {
@@ -210,7 +214,7 @@ func TestDemoteRevive(t *testing.T) {
 
 	// info answers from the cold stats without reviving.
 	infoCold := doInfo(t, ts, "x")
-	if e.cold.Load() == false {
+	if e.sk.Load() != nil {
 		t.Fatal("info revived the sketch")
 	}
 	if infoCold.Size != infoBefore.Size || infoCold.Total != infoBefore.Total {
@@ -224,7 +228,7 @@ func TestDemoteRevive(t *testing.T) {
 
 	// The next data read revives the exact state.
 	after := topk(t, ts, "x", 11)
-	if e.cold.Load() {
+	if e.sk.Load() == nil {
 		t.Fatal("topk did not revive the sketch")
 	}
 	if got := s.met.revivals.Load(); got != 1 {
@@ -278,7 +282,7 @@ func TestDemoteSurvivesRestart(t *testing.T) {
 	before := topk(t, ts, "x", 13)
 	time.Sleep(time.Millisecond)
 	s.maybeDemote()
-	if e, _ := s.reg.Get("x"); !e.cold.Load() {
+	if e, _ := s.reg.Get("x"); e.sk.Load() != nil {
 		t.Fatal("sketch not demoted")
 	}
 	shutdown(t, s, ts)
@@ -336,5 +340,137 @@ func TestPressureLoopEmergencyCheckpoint(t *testing.T) {
 			t.Fatal("pressure loop never took the emergency checkpoint")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestReadRacingDemotion holds each read in the gap between its sketch's
+// liveness check and its use of the sketch (server.stall-live), demotes
+// the sketch inside that gap, and requires the read to answer from the
+// state it resolved: PartialBins, the gather path's owner read, for every
+// flat kind, and /topk over HTTP. A demotion used to drop the sketch out
+// from under such a read, which then dereferenced nil.
+func TestReadRacingDemotion(t *testing.T) {
+	faultinject.Reset()
+	t.Cleanup(faultinject.Reset)
+	s, ts := durableServer(t, t.TempDir())
+	defer shutdown(t, s, ts)
+	var rows strings.Builder
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&rows, "k=%d\n", i%23)
+	}
+	for _, cfg := range []SketchConfig{
+		{Name: "u", Kind: KindUnit, Bins: 16, Seed: 1},
+		{Name: "w", Kind: KindWeighted, Bins: 16, Seed: 2},
+		{Name: "s", Kind: KindSharded, Bins: 8, Shards: 4, Seed: 3},
+	} {
+		create(t, ts, cfg)
+		if resp := postText(t, ts.URL+"/v1/sketches/"+cfg.Name+"/ingest?sync=1", rows.String()); resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest %s: status %d", cfg.Name, resp.StatusCode)
+		}
+	}
+
+	// raced runs read in a goroutine stalled past the liveness check and
+	// demotes name meanwhile — reviving it again too when revive is set
+	// — failing the test if the read panicked.
+	raced := func(name string, revive bool, read func()) {
+		t.Helper()
+		if err := faultinject.Enable("server.stall-live:1:1"); err != nil {
+			t.Fatal(err)
+		}
+		defer faultinject.Reset()
+		panicked := make(chan any, 1)
+		go func() {
+			defer func() { panicked <- recover() }()
+			read()
+		}()
+		for deadline := time.Now().Add(5 * time.Second); faultinject.Hits("server.stall-live") == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("the read never reached the stall point")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		e, _ := s.reg.Get(name)
+		if !s.demote(e) {
+			t.Fatalf("%s: demote refused", name)
+		}
+		if revive {
+			if _, err := s.ensureLive(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if p := <-panicked; p != nil {
+			t.Fatalf("%s: read racing a demotion panicked: %v", name, p)
+		}
+	}
+
+	for _, name := range []string{"u", "w", "s"} {
+		for _, revive := range []bool{false, true} {
+			want, _, err := s.PartialBins(name, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []uss.Bin
+			var tok string
+			raced(name, revive, func() { got, tok, err = s.PartialBins(name, "") })
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("%s: raced PartialBins = %v, %v; want %v", name, got, err, want)
+			}
+			// The token names the raced read's own sketch, never the live
+			// one's generation: a later read must get the bins again.
+			e, _ := s.reg.Get(name)
+			e.mu.Lock()
+			live := partialToken(e.gen) + "-"
+			e.mu.Unlock()
+			again, tok2, err := s.PartialBins(name, tok)
+			if err != nil || strings.HasPrefix(tok, live) || tok2 == tok || !slices.Equal(again, want) {
+				t.Fatalf("%s: after a raced token %q, PartialBins = %v (token %q), %v; want %v", name, tok, again, tok2, err, want)
+			}
+		}
+	}
+
+	// call sends one request; the raced ones run off the test goroutine.
+	// Each takes a fresh connection: the transport silently retries an
+	// idempotent request whose reused connection a handler panic broke.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	call := func(method, path, body string) (code int, out []byte, err error) {
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			return 0, nil, err
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			return 0, nil, err
+		}
+		defer resp.Body.Close()
+		out, err = io.ReadAll(resp.Body)
+		return resp.StatusCode, out, err
+	}
+	_, want, err := call("GET", "/v1/sketches/s/topk?k=5", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var code int
+	var got []byte
+	raced("s", false, func() { code, got, err = call("GET", "/v1/sketches/s/topk?k=5", "") })
+	if err != nil || code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("raced /topk = %d %s, %v; want 200 %s", code, got, err, want)
+	}
+
+	// A query that raced a demotion and a revive answers from its own
+	// sketch and leaves the query cache serving the live one: rows
+	// ingested afterwards show in the next answer.
+	_, want, err = call("POST", "/v1/sketches/u/query", "{}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raced("u", true, func() { code, got, err = call("POST", "/v1/sketches/u/query", "{}") })
+	if err != nil || code != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("raced /query = %d %s, %v; want 200 %s", code, got, err, want)
+	}
+	if resp := postText(t, ts.URL+"/v1/sketches/u/ingest?sync=1", strings.Repeat("k=late\n", 10)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest after the race: status %d", resp.StatusCode)
+	}
+	if _, got, _ = call("POST", "/v1/sketches/u/query", "{}"); !bytes.Contains(got, []byte(`"value":310,`)) {
+		t.Fatalf("query after 10 more rows = %s, want a total of 310", got)
 	}
 }

@@ -115,10 +115,9 @@ func (s *Server) RestoreSketch(cfg SketchConfig, stats SketchStats, blob []byte)
 			return fmt.Errorf("sketch %q: config mismatch: have %+v, restoring %+v", cfg.Name, e.cfg, cfg)
 		}
 		e.mu.Lock()
-		e.sk = rb
+		e.sk.Store(rb) // the restored state supersedes any cold blob
 		e.gen = rand.Uint64()
 		e.qe, e.prep = nil, nil // engines are bound to the replaced sketch
-		e.cold.Store(false)     // the restored state supersedes any cold blob
 		e.rows.Store(stats.Rows)
 		e.pushes.Store(stats.Pushes)
 		e.dropped.Store(stats.Dropped)
@@ -176,27 +175,34 @@ func (s *Server) PartialBins(name, have string) ([]uss.Bin, string, error) {
 	if !ok {
 		return nil, "", fmt.Errorf("sketch %q: %w", name, ErrNotFound)
 	}
-	if err := s.ensureLive(e); err != nil {
+	sk, err := s.ensureLive(e)
+	if err != nil {
 		return nil, "", err
 	}
 	e.mu.Lock()
+	gen := e.gen
+	if e.sk.Load() != sk {
+		// Demoted since ensureLive: sk still holds the entry's exact
+		// state, but gen may already name a revived successor, so these
+		// bins get a token no other state carries.
+		gen = rand.Uint64()
+	}
 	switch e.cfg.Kind {
 	case KindSharded:
-		sh, gen := e.sk.Sharded, e.gen
 		e.mu.Unlock()
-		bins, versions := sh.SnapshotBins()
+		bins, versions := sk.Sharded.SnapshotBins()
 		if tok := partialToken(gen, versions...); tok != have {
 			return bins, tok, nil
 		}
 		return nil, have, nil
 	case KindUnit, KindWeighted:
 		defer e.mu.Unlock()
-		var sk binSource = e.sk.Weighted
+		var src binSource = sk.Weighted
 		if e.cfg.Kind == KindUnit {
-			sk = e.sk.Unit
+			src = sk.Unit
 		}
-		if tok := partialToken(e.gen, sk.Version()); tok != have {
-			return sk.Bins(), tok, nil
+		if tok := partialToken(gen, src.Version()); tok != have {
+			return src.Bins(), tok, nil
 		}
 		return nil, have, nil
 	default:
@@ -322,7 +328,7 @@ func NewGatheredRead(name string, bins []uss.Bin) (*GatheredRead, error) {
 		return nil, fmt.Errorf("sketch %q: gathered bins: %w", name, err)
 	}
 	cfg := SketchConfig{Name: name, Kind: KindWeighted, Bins: sk.Capacity()}
-	return &GatheredRead{e: &entry{cfg: cfg, sk: &store.RebuiltSketch{Spec: specFromConfig(cfg), Weighted: sk}}}, nil
+	return &GatheredRead{e: newEntry(cfg, &store.RebuiltSketch{Spec: specFromConfig(cfg), Weighted: sk})}, nil
 }
 
 // Gather builds the sketch a point read of name answers from when it

@@ -246,13 +246,14 @@ func (s *Server) deleteSketch(ctx context.Context, name string) (bool, error) {
 // holds e.mu, which on a durable server excludes the entry's (single)
 // applier, so the blob is one consistent cut.
 func (e *entry) encodeState() ([]byte, error) {
-	if e.cold.Load() {
+	sk := e.sk.Load()
+	if sk == nil {
 		// A demoted entry's exact state is its cold blob (it was encoded
 		// by this very function at demotion time), so checkpoints and
 		// cluster state pulls stay correct without reviving it.
 		return os.ReadFile(e.coldPath)
 	}
-	return e.sk.AppendState(nil)
+	return sk.AppendState(nil)
 }
 
 // Checkpoint persists every live sketch's state and compacts the WAL.
@@ -355,11 +356,12 @@ func (s *Server) appendIngestWAL(e *entry, b *ingestBatch) (uint64, error) {
 // store.RebuiltSketch.MergePush and records the applied LSN (0 = not
 // durable).
 func (s *Server) applyPush(e *entry, pushed []uss.Bin, red uss.Reduction, lsn uint64) applyResult {
-	if err := s.ensureLive(e); err != nil {
+	sk, err := s.ensureLive(e)
+	if err != nil {
 		return applyResult{err: err}
 	}
 	e.mu.Lock()
-	if err := e.sk.MergePush(red, pushed); err != nil {
+	if err := sk.MergePush(red, pushed); err != nil {
 		e.mu.Unlock()
 		return applyResult{err: err}
 	}
@@ -371,7 +373,7 @@ func (s *Server) applyPush(e *entry, pushed []uss.Bin, red uss.Reduction, lsn ui
 	if lsn > 0 {
 		e.appliedLSN.Store(lsn)
 	}
-	size, total := e.sk.Weighted.Size(), e.sk.Weighted.Total()
+	size, total := sk.Weighted.Size(), sk.Weighted.Total()
 	e.mu.Unlock()
 	s.met.snapshotsIn.Add(1)
 	return applyResult{size: size, total: total}

@@ -89,7 +89,7 @@ func (e *entry) info() sketchInfo {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.cold.Load() {
+	if e.sk.Load() == nil {
 		out.Size, out.Total = e.coldSize, e.coldTotal
 		return out
 	}
@@ -101,8 +101,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if s.followerRejects(w) {
 		return
 	}
+	body, ok := ReadBody(w, r, nil, s.cfg.MaxBodyBytes)
+	if !ok {
+		return
+	}
 	var cfg SketchConfig
-	if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
+	if err := json.Unmarshal(body, &cfg); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode config: %w", err))
 		return
 	}
@@ -185,15 +189,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			s.adm.release(charge)
 		}
 	}()
-	e, ok := s.lookup(w, r)
+	e, _, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
 	b := getBatch()
-	if err := s.decodeIngest(r, e.cfg.Kind, b); err != nil {
+	if !s.decodeIngest(w, r, e.cfg.Kind, b) {
 		putBatch(b)
 		s.met.ingestRejected.Add(1)
-		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	n := len(b.items)
@@ -297,12 +300,18 @@ func (s *Server) write(w http.ResponseWriter, r *http.Request, j ingestJob, what
 }
 
 // decodeIngest reads the request body into b's pooled buffer and parses
-// it according to content type.
-func (s *Server) decodeIngest(r *http.Request, kind Kind, b *ingestBatch) error {
-	if err := b.readBody(r.Body, s.cfg.MaxBodyBytes); err != nil {
-		return err
+// it according to content type, answering the request itself when
+// either fails.
+func (s *Server) decodeIngest(w http.ResponseWriter, r *http.Request, kind Kind, b *ingestBatch) bool {
+	var ok bool
+	if b.buf, ok = ReadBody(w, r, b.buf, s.cfg.MaxBodyBytes); !ok {
+		return false
 	}
-	return b.parse(kind, r.Header.Get("Content-Type"))
+	if err := b.parse(kind, r.Header.Get("Content-Type")); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return false
+	}
+	return true
 }
 
 // parse decodes b.buf, an ingest body of contentType, into the batch's
@@ -392,7 +401,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 			s.adm.release(charge)
 		}
 	}()
-	e, ok := s.lookup(w, r)
+	e, _, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
@@ -408,8 +417,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	}
 	b := getBatch()
 	defer putBatch(b)
-	if err := b.readBody(r.Body, s.cfg.MaxBodyBytes); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	if b.buf, ok = ReadBody(w, r, b.buf, s.cfg.MaxBodyBytes); !ok {
 		return
 	}
 	// Decoded bins copy their items out of the body (one shared arena),
@@ -442,7 +450,7 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 // encode runs into the entry's reused buffer under its lock; the response
 // writes from a detached copy so a slow client never holds the lock.
 func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.lookup(w, r)
+	e, sk, ok := s.lookup(w, r)
 	if !ok {
 		return
 	}
@@ -452,11 +460,11 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
 	case KindUnit, KindWeighted:
 		// Their state encoding is the wire-v2 snapshot.
 		e.mu.Lock()
-		e.enc, err = e.sk.AppendState(e.enc[:0])
+		e.enc, err = sk.AppendState(e.enc[:0])
 		blob = append([]byte(nil), e.enc...)
 		e.mu.Unlock()
 	case KindSharded:
-		blob, err = e.sk.Sharded.Snapshot(0).MarshalBinary()
+		blob, err = sk.Sharded.Snapshot(0).MarshalBinary()
 	default:
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("sketch %q is a rollup; pull a range with /range endpoints", e.cfg.Name))
@@ -499,31 +507,31 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	return n, nil
 }
 
-// pointRead resolves the sketch a point read answers from, writing the
-// error response when it cannot. With a nil gather that is the registry
-// entry (a node's read). Otherwise it is the weighted entry of gather's
-// GatheredRead, plus the read's health, so the handler takes the very
-// path a weighted node entry takes; a rollup needs no gather, since every
-// handler rejects it.
-func (s *Server) pointRead(w http.ResponseWriter, r *http.Request, gather Gather) (*entry, *ReadHealth, bool) {
+// pointRead resolves the entry and sketch a point read answers from,
+// writing the error response when it cannot. With a nil gather that is
+// the registry entry (a node's read). Otherwise it is the weighted entry
+// of gather's GatheredRead, plus the read's health, so the handler takes
+// the very path a weighted node entry takes; a rollup needs no gather
+// (nor a sketch), since every handler rejects it.
+func (s *Server) pointRead(w http.ResponseWriter, r *http.Request, gather Gather) (*entry, *store.RebuiltSketch, *ReadHealth, bool) {
 	if gather == nil {
-		e, ok := s.lookup(w, r)
-		return e, nil, ok
+		e, sk, ok := s.lookup(w, r)
+		return e, sk, nil, ok
 	}
 	name := r.PathValue("name")
 	if e, ok := s.reg.Get(name); ok && e.cfg.Kind == KindRollup {
-		return e, nil, true
+		return e, nil, nil, true
 	}
 	gr, rh, code, err := gather(r.Context(), name)
 	if err != nil {
 		writeError(w, code, err)
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
-	return gr.e, rh, true
+	return gr.e, gr.e.sk.Load(), rh, true
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, gather Gather) {
-	e, rh, ok := s.pointRead(w, r, gather)
+	e, sk, rh, ok := s.pointRead(w, r, gather)
 	if !ok {
 		return
 	}
@@ -535,14 +543,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, gather Gathe
 	var bins []uss.Bin
 	switch e.cfg.Kind {
 	case KindSharded:
-		bins = e.sk.Sharded.TopK(k) // lock-free cached read path
+		bins = sk.Sharded.TopK(k) // lock-free cached read path
 	case KindUnit:
 		e.mu.Lock()
-		bins = e.sk.Unit.TopK(k)
+		bins = sk.Unit.TopK(k)
 		e.mu.Unlock()
 	case KindWeighted:
 		e.mu.Lock()
-		bins = e.sk.Weighted.TopK(k)
+		bins = sk.Weighted.TopK(k)
 		e.mu.Unlock()
 	default:
 		writeError(w, http.StatusBadRequest,
@@ -554,7 +562,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request, gather Gathe
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, gather Gather) {
-	e, rh, ok := s.pointRead(w, r, gather)
+	e, sk, rh, ok := s.pointRead(w, r, gather)
 	if !ok {
 		return
 	}
@@ -566,14 +574,14 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, gather G
 	var est float64
 	switch e.cfg.Kind {
 	case KindSharded:
-		est = e.sk.Sharded.Estimate(item)
+		est = sk.Sharded.Estimate(item)
 	case KindUnit:
 		e.mu.Lock()
-		est = e.sk.Unit.Estimate(item)
+		est = sk.Unit.Estimate(item)
 		e.mu.Unlock()
 	case KindWeighted:
 		e.mu.Lock()
-		est = e.sk.Weighted.Estimate(item)
+		est = sk.Weighted.Estimate(item)
 		e.mu.Unlock()
 	default:
 		writeError(w, http.StatusBadRequest,
@@ -664,7 +672,7 @@ func (q sumSpec) on(sk unitSummer) uss.Estimate {
 }
 
 func (s *Server) handleSum(w http.ResponseWriter, r *http.Request, gather Gather) {
-	e, rh, ok := s.pointRead(w, r, gather)
+	e, sk, rh, ok := s.pointRead(w, r, gather)
 	if !ok {
 		return
 	}
@@ -676,14 +684,14 @@ func (s *Server) handleSum(w http.ResponseWriter, r *http.Request, gather Gather
 	var est uss.Estimate
 	switch e.cfg.Kind {
 	case KindSharded:
-		est = spec.on(e.sk.Sharded)
+		est = spec.on(sk.Sharded)
 	case KindUnit:
 		e.mu.Lock()
-		est = spec.on(e.sk.Unit)
+		est = spec.on(sk.Unit)
 		e.mu.Unlock()
 	case KindWeighted:
 		e.mu.Lock()
-		est = e.sk.Weighted.SubsetSum(spec.pred())
+		est = sk.Weighted.SubsetSum(spec.pred())
 		e.mu.Unlock()
 	default:
 		writeError(w, http.StatusBadRequest,
@@ -727,25 +735,23 @@ func appendQueryCacheKey(b []byte, q uss.QuerySpec) []byte {
 	return b
 }
 
-// prepared resolves the entry's cached PreparedQuery for spec, compiling
-// and caching on miss. Caller holds e.mu. The cache is reset wholesale
-// past 128 distinct specs — a safety valve, not an LRU; steady workloads
-// repeat a handful of shapes. A hit allocates nothing.
-func (e *entry) prepared(spec uss.QuerySpec) *uss.PreparedQuery {
+// prepared resolves sk's cached PreparedQuery for spec, compiling and
+// caching on miss. Caller holds e.mu. The cache is reset wholesale past
+// 128 distinct specs — a safety valve, not an LRU; steady workloads
+// repeat a handful of shapes. A hit allocates nothing. The cache serves
+// the entry's live sketch only: when a demotion dropped sk after the
+// caller resolved it, the query is prepared over sk uncached.
+func (e *entry) prepared(sk *store.RebuiltSketch, spec uss.QuerySpec) *uss.PreparedQuery {
+	if sk != e.sk.Load() {
+		return queryEngine(e.cfg.Kind, sk).Prepare(spec)
+	}
 	var kb [256]byte
 	key := appendQueryCacheKey(kb[:0], spec)
 	if p, ok := e.prep[string(key)]; ok {
 		return p
 	}
 	if e.qe == nil {
-		switch e.cfg.Kind {
-		case KindUnit:
-			e.qe = e.sk.Unit.QueryEngine()
-		case KindWeighted:
-			e.qe = e.sk.Weighted.QueryEngine()
-		case KindSharded:
-			e.qe = e.sk.Sharded.QueryEngine()
-		}
+		e.qe = queryEngine(e.cfg.Kind, sk)
 	}
 	if e.prep == nil || len(e.prep) >= 128 {
 		e.prep = make(map[string]*uss.PreparedQuery)
@@ -753,6 +759,19 @@ func (e *entry) prepared(spec uss.QuerySpec) *uss.PreparedQuery {
 	p := e.qe.Prepare(spec)
 	e.prep[string(key)] = p
 	return p
+}
+
+// queryEngine returns a query engine over a unit, weighted or sharded
+// sketch.
+func queryEngine(kind Kind, sk *store.RebuiltSketch) *uss.QueryEngine {
+	switch kind {
+	case KindUnit:
+		return sk.Unit.QueryEngine()
+	case KindWeighted:
+		return sk.Weighted.QueryEngine()
+	default:
+		return sk.Sharded.QueryEngine()
+	}
 }
 
 // decodeQuery reads a /query body into the template's spec.
@@ -776,7 +795,7 @@ func (s *Server) decodeQuery(r *http.Request) (uss.QuerySpec, error) {
 // engine-owned groups into a pooled buffer, byte for byte what
 // encoding/json made of the old per-group DTOs.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, gather Gather) {
-	e, rh, ok := s.pointRead(w, r, gather)
+	e, sk, rh, ok := s.pointRead(w, r, gather)
 	if !ok {
 		return
 	}
@@ -798,7 +817,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, gather Gath
 		}
 	}
 	e.mu.Lock()
-	groups, skipped, err := e.prepared(spec).Run()
+	groups, skipped, err := e.prepared(sk, spec).Run()
 	if err != nil {
 		e.mu.Unlock()
 		writeError(w, http.StatusBadRequest, err)
@@ -832,23 +851,23 @@ func rangeParams(r *http.Request) (from, to int64, err error) {
 }
 
 // rollupEntry gates the /range endpoints to rollup entries.
-func (s *Server) rollupEntry(w http.ResponseWriter, r *http.Request) (*entry, bool) {
-	e, ok := s.lookup(w, r)
+func (s *Server) rollupEntry(w http.ResponseWriter, r *http.Request) (*entry, *store.RebuiltSketch, bool) {
+	e, sk, ok := s.lookup(w, r)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	if e.cfg.Kind != KindRollup {
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("sketch %q is %s; /range endpoints need a rollup", e.cfg.Name, e.cfg.Kind))
-		return nil, false
+		return nil, nil, false
 	}
-	return e, true
+	return e, sk, true
 }
 
 // handleRangeTopK serves top-k over a window range off the rollup's
 // incremental merge tree and per-range memos (PR 3 read path).
 func (s *Server) handleRangeTopK(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.rollupEntry(w, r)
+	e, sk, ok := s.rollupEntry(w, r)
 	if !ok {
 		return
 	}
@@ -863,14 +882,14 @@ func (s *Server) handleRangeTopK(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.mu.Lock()
-	bins := e.sk.Rollup.TopKRange(from, to, k)
+	bins := sk.Rollup.TopKRange(from, to, k)
 	e.mu.Unlock()
 	s.met.queriesServed.Add(1)
 	WriteJSON(w, http.StatusOK, map[string]any{"items": toBinDTOs(bins)})
 }
 
 func (s *Server) handleRangeSum(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.rollupEntry(w, r)
+	e, sk, ok := s.rollupEntry(w, r)
 	if !ok {
 		return
 	}
@@ -885,7 +904,7 @@ func (s *Server) handleRangeSum(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.mu.Lock()
-	est, covered := e.sk.Rollup.SubsetSumRange(from, to, spec.pred())
+	est, covered := sk.Rollup.SubsetSumRange(from, to, spec.pred())
 	e.mu.Unlock()
 	if !covered {
 		writeError(w, http.StatusNotFound,
@@ -897,7 +916,7 @@ func (s *Server) handleRangeSum(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRangeTotal(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.rollupEntry(w, r)
+	e, sk, ok := s.rollupEntry(w, r)
 	if !ok {
 		return
 	}
@@ -907,7 +926,7 @@ func (s *Server) handleRangeTotal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.mu.Lock()
-	total := e.sk.Rollup.TotalRange(from, to)
+	total := sk.Rollup.TotalRange(from, to)
 	e.mu.Unlock()
 	s.met.queriesServed.Add(1)
 	WriteJSON(w, http.StatusOK, map[string]any{"total": total})

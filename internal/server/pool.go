@@ -1,9 +1,12 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -61,23 +64,33 @@ func putBatch(b *ingestBatch) {
 	ingestPool.Put(b)
 }
 
-// readBody reads r into the batch's pooled buffer, rejecting bodies over
-// limit bytes.
-func (b *ingestBatch) readBody(r io.Reader, limit int64) error {
+// ReadBody appends r's body to buf and reports whether it read it all;
+// when not, it has answered the request: 413 for a body over limit
+// bytes, 400 for any other read failure. A declared Content-Length under
+// the limit grows buf once, so such a body reads with no further growth.
+// The node's ingest, push and create handlers and the cluster proxy's
+// read every capped body here, so an oversize one fails alike on both.
+func ReadBody(w http.ResponseWriter, r *http.Request, buf []byte, limit int64) ([]byte, bool) {
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf = slices.Grow(buf, int(n)+1) // +1: the final EOF read needs room too
+	}
+	body := http.MaxBytesReader(w, r.Body, limit)
 	for {
-		if len(b.buf) == cap(b.buf) {
-			b.buf = append(b.buf, 0)[:len(b.buf)]
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := r.Read(b.buf[len(b.buf):cap(b.buf)])
-		b.buf = b.buf[:len(b.buf)+n]
-		if int64(len(b.buf)) > limit {
-			return fmt.Errorf("request body exceeds %d bytes", limit)
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		var tooBig *http.MaxBytesError
+		switch {
+		case err == io.EOF:
+			return buf, true
+		case errors.As(err, &tooBig):
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", limit))
+			return buf, false
+		case err != nil:
+			writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+			return buf, false
 		}
 	}
 }

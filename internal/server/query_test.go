@@ -184,7 +184,7 @@ func wantQueryAnswer(t *testing.T, s *Server, name string, spec uss.QuerySpec) [
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	groups, skipped, err := e.prepared(spec).Run()
+	groups, skipped, err := e.prepared(e.sk.Load(), spec).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestQueryMemoInvalidationHTTP(t *testing.T) {
 		if got := answer(t, ts, "u"); got != before {
 			t.Fatalf("revived answer %q, want %q", got, before)
 		}
-		if e.cold.Load() {
+		if e.sk.Load() == nil {
 			t.Fatal("query did not revive the sketch")
 		}
 		ingest(t, ts, "u", "k=b\n")
@@ -480,7 +480,7 @@ func adServer(t testing.TB) *Server {
 			batch = append(batch, im.Key(0, 3, 6))
 		}
 		if len(batch) == cap(batch) || !ok && len(batch) > 0 {
-			e.sk.Sharded.UpdateBatch(batch)
+			e.sk.Load().Sharded.UpdateBatch(batch)
 			batch = batch[:0]
 		}
 		if !ok {

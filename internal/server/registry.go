@@ -98,8 +98,8 @@ func (c *SketchConfig) validate() error {
 // construction, restore, encoding, update and merge of the state goes
 // through sk's methods; the read handlers use its per-kind fields.
 //
-// Locking: mu guards sk (the pointer, and the state of unit, weighted
-// and rollup sketches), the pull encode buffer, and the query engine +
+// Locking: mu guards writes of sk, the state of unit, weighted and
+// rollup sketches, the pull encode buffer, and the query engine +
 // prepared-query cache of every kind. Sharded entries serve cached reads
 // (TopK) without mu, and on an in-memory server take ingest without it
 // too — the ShardedSketch is internally synchronized and its snapshot
@@ -110,7 +110,13 @@ type entry struct {
 	cfg SketchConfig
 
 	mu sync.Mutex
-	sk *store.RebuiltSketch
+	// sk is the live sketch, nil while the entry is demoted (its exact
+	// state is then the blob at coldPath). Written under mu, loaded
+	// atomically. A request reads through the sketch ensureLive returned
+	// to it, not through sk: a demotion only drops this reference, so the
+	// object a reader holds stays whole, and unchanged, since a write
+	// revives a new one.
+	sk atomic.Pointer[store.RebuiltSketch]
 
 	// qe + prep are the PR 2 cached read path: one engine per entry, one
 	// prepared query per distinct spec, revalidated against sketch
@@ -157,13 +163,10 @@ type entry struct {
 
 	// Memory-watermark demotion state (admission.go). lastAccess is
 	// stamped by ensureLive on every path that touches the sketch
-	// state; cold flips under e.mu (the atomic is the lock-free fast
-	// check) and while it is set sk is nil and the entry's exact state
-	// lives in the blob at coldPath. coldSize and coldTotal preserve the
-	// stats snapshot so list/info and anti-entropy digests answer without
-	// reviving.
+	// state. While sk is nil the entry's exact state lives in the blob
+	// at coldPath; coldSize and coldTotal preserve the stats snapshot so
+	// list/info and anti-entropy digests answer without reviving.
 	lastAccess atomic.Int64
-	cold       atomic.Bool
 	coldPath   string
 	coldSize   int
 	coldTotal  float64
@@ -171,7 +174,8 @@ type entry struct {
 
 // newEntry wraps a sketch in an entry with a fresh generation.
 func newEntry(cfg SketchConfig, sk *store.RebuiltSketch) *entry {
-	e := &entry{cfg: cfg, sk: sk, gen: rand.Uint64()}
+	e := &entry{cfg: cfg, gen: rand.Uint64()}
+	e.sk.Store(sk)
 	e.lastAccess.Store(time.Now().UnixNano())
 	return e
 }

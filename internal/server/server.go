@@ -76,6 +76,7 @@ import (
 	uss "repro"
 	"repro/internal/hashx"
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // Config parameterizes a Server.
@@ -434,7 +435,8 @@ func (s *Server) ingestWorker(i int) {
 // neither, or recovery would gate the batch's record out while its rows
 // are missing from the persisted counter.
 func (s *Server) applyBatch(e *entry, b *ingestBatch, lsn uint64) {
-	if s.ensureLive(e) != nil {
+	sk, err := s.ensureLive(e)
+	if err != nil {
 		// The cold blob failed to restore; the batch cannot apply. The
 		// record (when durable) is still on the log and replays on the
 		// next boot against the checkpointed state.
@@ -445,7 +447,7 @@ func (s *Server) applyBatch(e *entry, b *ingestBatch, lsn uint64) {
 	if locked {
 		e.mu.Lock()
 	}
-	e.dropped.Add(e.sk.ApplyIngest(b.items, b.ws, b.ats))
+	e.dropped.Add(sk.ApplyIngest(b.items, b.ws, b.ats))
 	e.rows.Add(rows)
 	if lsn > 0 {
 		e.appliedLSN.Store(lsn)
@@ -491,22 +493,23 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/sketches/{name}/range/total", s.handleRangeTotal)
 }
 
-// lookup resolves {name} or writes the statusFor-mapped 404. It also
-// revives a demoted entry before the handler touches sketch pointers.
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*entry, bool) {
+// lookup resolves {name} and its live sketch (see ensureLive), or
+// writes the statusFor-mapped 404.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*entry, *store.RebuiltSketch, bool) {
 	name := r.PathValue("name")
 	e, ok := s.reg.Get(name)
 	if !ok {
 		err := fmt.Errorf("sketch %q: %w", name, ErrNotFound)
 		writeError(w, statusFor(err), err)
-		return nil, false
+		return nil, nil, false
 	}
-	if err := s.ensureLive(e); err != nil {
+	sk, err := s.ensureLive(e)
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
-		return nil, false
+		return nil, nil, false
 	}
 	if !s.ob.Disabled() {
 		s.ob.Hot.ObserveRequest(name)
 	}
-	return e, true
+	return e, sk, true
 }

@@ -609,11 +609,11 @@ func TestSumFormsMatchScan(t *testing.T) {
 			e.mu.Lock()
 			switch e.cfg.Kind {
 			case KindUnit:
-				want = e.sk.Unit.SubsetSum(f.pred)
+				want = e.sk.Load().Unit.SubsetSum(f.pred)
 			case KindSharded:
-				want = e.sk.Sharded.SubsetSum(f.pred)
+				want = e.sk.Load().Sharded.SubsetSum(f.pred)
 			default:
-				want = e.sk.Weighted.SubsetSum(f.pred)
+				want = e.sk.Load().Weighted.SubsetSum(f.pred)
 			}
 			e.mu.Unlock()
 			if want.SampleBins == 0 {

@@ -2,37 +2,9 @@ package uss
 
 import (
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/core"
 )
-
-// mergeParallelism holds the package-wide merge fan-out; 0 means "track
-// GOMAXPROCS".
-var mergeParallelism atomic.Int32
-
-// MergeParallelism reports the goroutine fan-out the parallel merge
-// paths (ShardedSketch snapshot refill, MergeBinsParallel) use. It
-// defaults to GOMAXPROCS and can be pinned with SetMergeParallelism.
-func MergeParallelism() int {
-	if p := mergeParallelism.Load(); p > 0 {
-		return int(p)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SetMergeParallelism pins the merge fan-out to n goroutines; n <= 0
-// restores the GOMAXPROCS default and 1 forces the sequential kernels.
-// Regardless of the setting, merges below the size cutoff
-// (core.ParallelMergeCutoff bins) run sequentially, and parallel output
-// is bit-identical to sequential output, so the knob trades only CPU
-// width, never results.
-func SetMergeParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	mergeParallelism.Store(int32(n))
-}
 
 // Reduction selects the bin-reduction strategy used when merging sketches
 // (paper §5.3, §5.5).
@@ -105,13 +77,14 @@ func MergeBins(m int, red Reduction, lists ...[]Bin) []Bin {
 }
 
 // MergeBinsParallel is MergeBins with the exact summing half fanned out
-// over MergeParallelism goroutines (paper §5.5 run wide: leaf runs merged
-// concurrently, then a pairwise tree reduction). Output is bit-identical
+// over GOMAXPROCS goroutines (paper §5.5 run wide: leaf runs merged
+// concurrently, then a pairwise tree reduction; inputs under
+// core.ParallelMergeCutoff bins stay sequential). Output is bit-identical
 // to MergeBins for the same random state — only the deterministic sum is
 // parallelized; the reduction draws its randomness sequentially — so the
 // two are interchangeable wherever a merge is hot, e.g. the cluster
 // gather path collapsing per-node partials.
 func MergeBinsParallel(m int, red Reduction, lists ...[]Bin) []Bin {
 	c := buildConfig(nil)
-	return core.MergeBinsParallel(m, red.kind(), c.rng, MergeParallelism(), lists...)
+	return core.MergeBinsParallel(m, red.kind(), c.rng, runtime.GOMAXPROCS(0), lists...)
 }

@@ -160,15 +160,11 @@ func TestRaceConcurrentRunQueryQuiescentSketch(t *testing.T) {
 }
 
 // TestRaceParallelSnapshotRefill: concurrent writers keep invalidating
-// the sharded snapshot while concurrent readers trigger parallel cache
-// refills (merge parallelism forced above the shard count). The parallel
-// k-way merge runs behind the cache's rebuild lock, so -race must stay
-// silent and every reader must see a coherent snapshot.
+// the sharded snapshot while concurrent readers trigger cache refills
+// that race each other. Each refill copies the shards under their locks
+// and publishes an immutable snapshot, so -race must stay silent and
+// every reader must see a coherent snapshot.
 func TestRaceParallelSnapshotRefill(t *testing.T) {
-	old := uss.MergeParallelism()
-	uss.SetMergeParallelism(8)
-	defer uss.SetMergeParallelism(old)
-
 	s := uss.NewSharded(4, 64, uss.WithSeed(47))
 	rows := make([]string, 1<<12)
 	for i := range rows {

@@ -203,10 +203,18 @@ func (s *ShardedSketch) UpdateBatch(items []string) {
 // (shards × binsPerShard).
 func (s *ShardedSketch) Capacity() int { return s.m }
 
-// Size returns the number of occupied bins across shards, served from the
-// cached merged snapshot (items are disjoint across shards, so the merged
-// bin count is the sum of per-shard sizes).
-func (s *ShardedSketch) Size() int { return len(s.snapshot().bins) }
+// Size returns the number of occupied bins across shards: the sum of the
+// shard sizes, each read under its shard's lock (items are disjoint
+// across shards, so this is also the merged bin count). Allocation-free.
+func (s *ShardedSketch) Size() int {
+	n := 0
+	for i := range s.shards {
+		s.shards[i].mu.Lock()
+		n += s.shards[i].sk.Size()
+		s.shards[i].mu.Unlock()
+	}
+	return n
+}
 
 // Total returns the total mass ingested across shards (== Rows for unit
 // updates).
@@ -301,15 +309,19 @@ func (s *ShardedSketch) sumShards(sum func(i int, sk *Sketch) Estimate) Estimate
 	return Estimate{Value: value, StdErr: math.Sqrt(variance), SampleBins: bins}
 }
 
-// shardSnapshot is one immutable merged view of all shards. bins is the
-// exact item-wise sum of the shard bin lists (ascending count order; no
-// reduction — items are disjoint across shards, so the merged list never
-// exceeds the total bin budget). sorted and idx are derived lazily and
-// published through atomic pointers so that concurrent readers never
-// lock and repeat reads never allocate.
+// shardSnapshot is one immutable view of all shards. bins holds every
+// shard's bins side by side, in shard order, each shard's run ascending
+// by count: items are disjoint across shards, so the list is already the
+// exact item-wise sum of the shards, and no reader but SnapshotWith
+// needs one order over all of it (TopK selects under a total order,
+// queries add integer counts). lists are the per-shard runs, views into
+// bins. sorted and idx are derived lazily and published through atomic
+// pointers so that concurrent readers never lock and repeat reads never
+// allocate.
 type shardSnapshot struct {
 	versions []uint64                       // per-shard versions the snapshot was built from
-	bins     []Bin                          // ascending count order
+	bins     []Bin                          // shard order, each shard ascending
+	lists    [][]Bin                        // lists[i] is shard i's run of bins
 	minCount float64                        // MinCount of the equivalent Snapshot(s.m)
 	sorted   atomic.Pointer[[]Bin]          // descending rank, for TopK
 	idx      atomic.Pointer[labelidx.Index] // columnar label index
@@ -335,29 +347,34 @@ func (s *ShardedSketch) upToDate(c *shardSnapshot) bool {
 	return true
 }
 
-// rebuildSnapshot copies each shard's bins under its lock (recording the
-// version the copy corresponds to), k-way merges the item-disjoint lists
-// outside any lock, and publishes the result. Shards are copied at
-// slightly different times, the same consistency the uncached Snapshot
-// always had; concurrent rebuilds may race benignly, each publishing a
-// snapshot valid for the versions it recorded. Large merges fan out
-// across MergeParallelism goroutines; the parallel kernel is
-// bit-identical to the sequential one (disjoint items make the merged
-// order unique), so snapshots don't depend on the fan-out.
+// rebuildSnapshot appends each shard's bins into one slice under that
+// shard's lock (recording the version the copy corresponds to) and
+// publishes the result; nothing is merged. Shards are copied at slightly
+// different times, the same consistency the uncached Snapshot always
+// had; concurrent rebuilds may race benignly, each publishing a snapshot
+// valid for the versions it recorded.
 func (s *ShardedSketch) rebuildSnapshot() *shardSnapshot {
-	c := &shardSnapshot{versions: make([]uint64, len(s.shards))}
-	lists := make([][]Bin, len(s.shards))
+	c := &shardSnapshot{
+		versions: make([]uint64, len(s.shards)),
+		bins:     make([]Bin, 0, s.m),
+		lists:    make([][]Bin, len(s.shards)),
+	}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		c.versions[i] = sh.version.Load()
-		// Bins() copies, so the shard keeps moving after unlock.
-		lists[i] = sh.sk.Bins()
+		start := len(c.bins)
+		c.bins = sh.sk.core.AppendBins(c.bins)
 		sh.mu.Unlock()
+		c.lists[i] = c.bins[start:len(c.bins):len(c.bins)]
 	}
-	c.bins = core.SumDisjointParallel(MergeParallelism(), lists...)
-	if len(c.bins) >= s.m && len(c.bins) > 0 {
-		c.minCount = c.bins[0].Count
+	// The bins fill the budget exactly when every shard is full, and the
+	// smallest count is then the least of the shards' first bins.
+	if len(c.bins) >= s.m {
+		c.minCount = math.Inf(1)
+		for _, l := range c.lists {
+			c.minCount = min(c.minCount, l[0].Count)
+		}
 	}
 	s.snap.Store(c)
 	return c
@@ -400,13 +417,13 @@ func (b shardedBinner) QuerySnapshot() ([]Bin, *labelidx.Index, float64) {
 	return c.bins, c.labelIndex(), c.minCount
 }
 
-// SnapshotBins returns the merged bins of all shards from the cached
-// snapshot (ascending count order, no reduction) together with the
-// per-shard versions that snapshot was cut at. Both slices are read-only
-// views shared with every other reader. Equal version lists from one
-// sketch mean equal bins, so the pair is a cheap change check for
-// callers that ship the bins elsewhere; on a quiescent sketch the call
-// takes no locks and allocates nothing.
+// SnapshotBins returns the bins of all shards from the cached snapshot
+// (shard order, each shard's bins ascending by count; no reduction)
+// together with the per-shard versions that snapshot was cut at. Both
+// slices are read-only views shared with every other reader. Equal
+// version lists from one sketch mean equal bins, so the pair is a cheap
+// change check for callers that ship the bins elsewhere; on a quiescent
+// sketch the call takes no locks and allocates nothing.
 func (s *ShardedSketch) SnapshotBins() ([]Bin, []uint64) {
 	c := s.snapshot()
 	return c.bins, c.versions
@@ -415,9 +432,9 @@ func (s *ShardedSketch) SnapshotBins() ([]Bin, []uint64) {
 // Snapshot merges the shards into one weighted sketch of m bins (defaults
 // to the sharded sketch's total bin budget when m ≤ 0) for top-k queries,
 // serialization or further merging, reducing with Pairwise when m is
-// below the merged size. The merge itself is served from the versioned
-// snapshot cache: on a quiescent sketch only the returned sketch is
-// built, with no shard locking or re-merging.
+// below the merged size. The shards' bins come from the versioned
+// snapshot cache: on a quiescent sketch no shard is locked, and only the
+// merge of their runs and the returned sketch are built.
 func (s *ShardedSketch) Snapshot(m int) *WeightedSketch {
 	return s.SnapshotWith(m, Pairwise)
 }
@@ -425,11 +442,16 @@ func (s *ShardedSketch) Snapshot(m int) *WeightedSketch {
 // SnapshotWith is Snapshot with an explicit reduction for the case where
 // the merged bins must shrink to m (Pairwise and Pivotal keep the
 // snapshot unbiased; MisraGries trades bias for the deterministic bound).
+//
+// It is the one reader that needs the shards' runs as one list in
+// ascending count order — the reductions and the loaded sketch's bin
+// order depend on it — so it k-way merges them itself, off the cached
+// read path.
 func (s *ShardedSketch) SnapshotWith(m int, red Reduction) *WeightedSketch {
 	if m <= 0 {
 		m = s.m
 	}
-	bins := s.snapshot().bins
+	bins := core.SumDisjointAscending(s.snapshot().lists...)
 	cfg := buildConfig(nil)
 	if len(bins) > m {
 		switch red {
