@@ -82,6 +82,39 @@ func BenchmarkShardedUpdateBatch(b *testing.B) {
 			s.UpdateBatch(buf)
 		})
 	})
+	// AdStream is the regime the two cases above are not: perfbench
+	// ingest-saturate's key stream (AdStream marginal keys on features 0,
+	// 3 and 6, cut into 2000-row batches) into its 8×1024 sketch, applied
+	// by one goroutine as the server's applier does. Its key space is far
+	// larger than the sketch, so about nine rows in ten miss the
+	// Stream-Summary's index and most of each row's cost is that probe.
+	const batch = 2000
+	var adRows []string // built once, on the first call below
+	b.Run("AdStream", func(b *testing.B) {
+		if adRows == nil {
+			ads, err := workload.NewAdStream(workload.DefaultAdConfig(256*batch), 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for im, ok := ads.Next(); ok; im, ok = ads.Next() {
+				adRows = append(adRows, im.Key(0, 3, 6))
+			}
+		}
+		s := uss.NewSharded(8, 1024, uss.WithSeed(1))
+		for lo := 0; lo < len(adRows); lo += batch {
+			s.UpdateBatch(adRows[lo : lo+batch])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		// One iteration is one row; every call but the last is a whole
+		// batch, so each starts on a batch boundary.
+		for done := 0; done < b.N; {
+			lo := done % len(adRows)
+			n := min(batch, b.N-done)
+			s.UpdateBatch(adRows[lo : lo+n])
+			done += n
+		}
+	})
 }
 
 func BenchmarkShardedSnapshot(b *testing.B) {

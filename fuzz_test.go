@@ -44,9 +44,13 @@ func FuzzSketchUpdate(f *testing.F) {
 // FuzzStreamSummaryOps drives the slab-backed Stream-Summary through
 // arbitrary insert / increment / replace / remove sequences — the full
 // free-list churn surface — validating CheckInvariants (which audits slab
-// accounting, free-list integrity, head words and mass conservation)
-// after every operation, and spot-checking counts, prefix sums and item
-// sums against a map model at the end.
+// accounting, free-list integrity, head words, the index table slot by
+// slot and mass conservation) after every operation, and spot-checking
+// counts, prefix sums and item sums against a map model at the end. Every
+// label a Remove or an eviction drops must then be absent from the index;
+// labels are never reused, so none may come back. The summary starts with
+// a capacity hint of 8 and inserts run past it, so the table's growth is
+// exercised too.
 func FuzzStreamSummaryOps(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 0, 4}, int64(1))
 	f.Add([]byte{0, 1, 0, 1, 0, 1, 3, 3, 3, 2, 2, 2}, int64(2))
@@ -67,6 +71,16 @@ func FuzzStreamSummaryOps(f *testing.F) {
 				live = append(live, item)
 				return true
 			})
+		}
+		var dropped []string
+		gone := func(step int, item string) {
+			if s.Contains(item) {
+				t.Fatalf("step %d: dropped %q still Contains", step, item)
+			}
+			if c, ok := s.Count(item); ok {
+				t.Fatalf("step %d: dropped %q still counts %d", step, item, c)
+			}
+			dropped = append(dropped, item)
 		}
 		nextID := 0
 		for step, op := range ops {
@@ -96,6 +110,7 @@ func FuzzStreamSummaryOps(f *testing.F) {
 					if _, had := model[evicted]; !had {
 						t.Fatalf("step %d: evicted unknown item %q", step, evicted)
 					}
+					gone(step, evicted)
 				}
 				resync()
 			case 4: // remove a random live item, churning the node free-list
@@ -105,6 +120,7 @@ func FuzzStreamSummaryOps(f *testing.F) {
 					if _, ok := s.Remove(item); !ok {
 						t.Fatalf("step %d: Remove(%q) failed on live item", step, item)
 					}
+					gone(step, item)
 					delete(model, item)
 					live[j] = live[len(live)-1]
 					live = live[:len(live)-1]
@@ -142,6 +158,9 @@ func FuzzStreamSummaryOps(f *testing.F) {
 		items := append(append([]string{"absent"}, live...), live...)
 		if got, hits := s.ItemsSum(items); got != float64(want) || hits != len(model) {
 			t.Fatalf("ItemsSum(every live item twice) = %v/%d, want %d/%d", got, hits, want, len(model))
+		}
+		if got, hits := s.ItemsSum(dropped); got != 0 || hits != 0 {
+			t.Fatalf("ItemsSum(every dropped item) = %v/%d, want 0/0", got, hits)
 		}
 	})
 }

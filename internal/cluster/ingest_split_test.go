@@ -356,9 +356,9 @@ func (tc *testCluster) rowsOf(name string) []int64 {
 }
 
 // TestOversizeBodyAnswersLikeNode caps bodies at 64 bytes on every node
-// and agent of a 3-node cluster: an oversize ingest, push or create gets
-// the same 413 and text from the proxy as from a node, and nothing is
-// applied or created.
+// and agent of a 3-node cluster: an oversize ingest, push, create or
+// query gets the same 413 and text from the proxy as from a node, and
+// nothing is applied or created.
 func TestOversizeBodyAnswersLikeNode(t *testing.T) {
 	const limit = 64
 	tc := newTestClusterOf(t, 3, func(c *Config) {
@@ -372,11 +372,13 @@ func TestOversizeBodyAnswersLikeNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	create := `{"name":"big","kind":"unit","bins":16}` + strings.Repeat(" ", limit)
+	query := `{"group_by":["a"]}` + strings.Repeat(" ", limit)
 	want := fmt.Sprintf(`{"error":"request body exceeds %d bytes"}`, limit)
 	for _, c := range []struct{ name, proxy, node, ctype, body string }{
 		{"ingest", "/v1/sketches/u/ingest?sync=1", "/v1/cluster/sketches/u/ingest?sync=1", "text/plain", strings.Repeat("item\n", 20)},
 		{"push", "/v1/sketches/w/snapshot", "/v1/cluster/sketches/w/snapshot", "application/octet-stream", string(pushed)},
 		{"create", "/v1/sketches", "/v1/cluster/sketches", "application/json", create},
+		{"query", "/v1/sketches/u/query", "/v1/cluster/sketches/u/query", "application/json", query},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if len(c.body) <= limit {

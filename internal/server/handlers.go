@@ -774,10 +774,11 @@ func queryEngine(kind Kind, sk *store.RebuiltSketch) *uss.QueryEngine {
 	}
 }
 
-// decodeQuery reads a /query body into the template's spec.
-func (s *Server) decodeQuery(r *http.Request) (uss.QuerySpec, error) {
+// decodeQuery decodes a /query body into the template's spec. Like
+// create's config, the body is one JSON value: anything after it fails.
+func decodeQuery(body []byte) (uss.QuerySpec, error) {
 	var req queryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		return uss.QuerySpec{}, fmt.Errorf("decode query: %w", err)
 	}
 	spec := uss.QuerySpec{GroupBy: req.GroupBy}
@@ -804,7 +805,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, gather Gath
 			fmt.Errorf("sketch %q is a rollup; use /range endpoints", e.cfg.Name))
 		return
 	}
-	spec, err := s.decodeQuery(r)
+	req, ok := ReadBody(w, r, nil, s.cfg.MaxBodyBytes)
+	if !ok {
+		return
+	}
+	spec, err := decodeQuery(req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

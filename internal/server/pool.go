@@ -68,8 +68,9 @@ func putBatch(b *ingestBatch) {
 // when not, it has answered the request: 413 for a body over limit
 // bytes, 400 for any other read failure. A declared Content-Length under
 // the limit grows buf once, so such a body reads with no further growth.
-// The node's ingest, push and create handlers and the cluster proxy's
-// read every capped body here, so an oversize one fails alike on both.
+// The node's ingest, push, create and query handlers and the cluster
+// proxy's read every capped body here, so an oversize one fails alike on
+// both.
 func ReadBody(w http.ResponseWriter, r *http.Request, buf []byte, limit int64) ([]byte, bool) {
 	if n := r.ContentLength; n > 0 && n <= limit {
 		buf = slices.Grow(buf, int(n)+1) // +1: the final EOF read needs room too

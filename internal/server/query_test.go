@@ -174,6 +174,28 @@ func postQuery(t testing.TB, ts *httptest.Server, name, body string) (int, []byt
 	return resp.StatusCode, data
 }
 
+// TestQueryRejectsTrailingData: a /query body is one JSON value, as a
+// create body is, so data after it is a 400 on both.
+func TestQueryRejectsTrailingData(t *testing.T) {
+	_, ts := testServer(t)
+	create(t, ts, SketchConfig{Name: "u", Kind: KindUnit, Bins: 16})
+	if code, got := postQuery(t, ts, "u", `{"group_by":["a"]}`); code != http.StatusOK {
+		t.Fatalf("query: status %d: %s", code, got)
+	}
+	const trailing = ` trailing garbage`
+	if code, got := postQuery(t, ts, "u", `{"group_by":["a"]}`+trailing); code != http.StatusBadRequest {
+		t.Errorf("query with trailing data: status %d: %s, want 400", code, got)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sketches", "application/json", strings.NewReader(`{"name":"v","kind":"unit","bins":8}`+trailing))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("create with trailing data: status %d, want 400", resp.StatusCode)
+	}
+}
+
 // wantQueryAnswer is the reference answer for spec on entry name,
 // evaluated through the entry's own prepared query.
 func wantQueryAnswer(t *testing.T, s *Server, name string, spec uss.QuerySpec) []byte {
@@ -222,7 +244,7 @@ func TestQueryAnswerMatchesReference(t *testing.T) {
 	}
 	for _, name := range []string{"u", "w", "sh"} {
 		for _, body := range specs {
-			spec, err := s.decodeQuery(httptest.NewRequest("POST", "/", strings.NewReader(body)))
+			spec, err := decodeQuery([]byte(body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -541,8 +563,9 @@ func TestQueryHandlerAllocsFlat(t *testing.T) {
 				t.Fatalf("%s: status %d", shape.name, code)
 			}
 		})
+		body := []byte(shape.body)
 		decode := testing.AllocsPerRun(50, func() {
-			if _, err := s.decodeQuery(httptest.NewRequest("POST", "/v1/sketches/ads/query", strings.NewReader(shape.body))); err != nil {
+			if _, err := decodeQuery(body); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -89,7 +89,8 @@ type Config struct {
 	// QueueDepth is the async ingest queue length in batches; a full
 	// queue applies backpressure by blocking the handler (default 256).
 	QueueDepth int
-	// MaxBodyBytes caps ingest/push request bodies (default 32 MiB).
+	// MaxBodyBytes caps ingest, push, create and query request bodies
+	// (default 32 MiB).
 	MaxBodyBytes int64
 	// RequestTimeout bounds every request's context — handlers observe
 	// client disconnects and this deadline through r.Context(), so a

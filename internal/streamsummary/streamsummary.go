@@ -23,7 +23,8 @@
 // counts only ever grow by exactly one.
 //
 // Storage layout (the part that differs from the textbook presentation):
-// everything lives in four flat slabs addressed by int32 —
+// everything lives in flat slabs addressed by int32 — four of them,
+// plus the open-addressing table that finds a label's node —
 //
 //   - nodes:   one (item, bucket, pos) record per bin, with an intrusive
 //     free-list threading vacant slots through the bucket field;
@@ -39,10 +40,15 @@
 //     new minimums at the array's end, which keeps fill-phase inserts O(1);
 //   - buckets: one (count, start, end) range record per distinct count,
 //     recycled through an intrusive free-list (linked through the start
-//     field) when a count empties.
+//     field) when a count empties;
+//   - table:   the item index, a power-of-two []uint64 probed linearly.
+//     Each used slot packs node slot + 1 above the low 32 bits of the
+//     label's seeded hash (its tag); 0 is empty. Deletion shifts the
+//     rest of the probe chain back, so no tombstones build up under
+//     eviction churn.
 //
 // Incrementing a bin is a swap to its bucket's boundary plus two range
-// adjustments; no memory is written outside the slabs and the index map.
+// adjustments; no memory is written outside the slabs and the table.
 // After the fill phase the ingest path therefore performs zero heap
 // allocations per row — there is nothing to allocate: no per-bucket
 // slices, no linked-list cells, just fixed-width slab entries — and the GC
@@ -51,12 +57,37 @@ package streamsummary
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"slices"
 )
 
 // none marks an absent slab index (the nil of the int32-indexed layout).
 const none = int32(-1)
+
+// hashSeed keys every table's hash. Labels come from clients, so the
+// hash must be one they cannot predict: with a fixed hash a client could
+// send labels that share one probe chain. It is not the shard-routing
+// hash either, under which every label of one shard already agrees
+// modulo the shard count.
+var hashSeed = maphash.MakeSeed()
+
+// tagOf is item's table tag: the low 32 bits of its seeded hash. Its low
+// bits also pick the item's home slot.
+func tagOf(item string) uint32 { return uint32(maphash.String(hashSeed, item)) }
+
+// entry packs node slot ni and its label's tag into one table slot.
+func entry(ni int32, tag uint32) uint64 { return uint64(ni+1)<<32 | uint64(tag) }
+
+// tableLen is the smallest power of two at least 2n (and at least 8), so
+// n items fill at most half of it.
+func tableLen(n int) int {
+	size := 8
+	for size < 2*n {
+		size *= 2
+	}
+	return size
+}
 
 // node is a single (item, count) bin stored in the node slab. Its count is
 // implied by the bucket it currently belongs to. While a node is on the
@@ -95,7 +126,7 @@ type bucket struct {
 // Summary is a Stream-Summary structure. The zero value is not usable; call
 // New.
 type Summary struct {
-	index      map[string]int32 // item -> node slab index
+	table      []uint64 // item index: entry(node slot, tag), 0 when empty
 	nodes      []node
 	heads      []uint64 // headOf(nodes[i].item), 0 for a vacant slot
 	perm       []int32  // live node indices grouped by bucket, counts descending
@@ -110,13 +141,14 @@ type Summary struct {
 // layered on top does). All the slabs are pre-sized so a summary that
 // stays within the hint reaches steady state without any slab growth: the
 // bucket slab gets one extra slot because bump allocates the count+1 bucket
-// before retiring the emptied one.
+// before retiring the emptied one, and the table holds the hint at load
+// ½ or less.
 func New(cap int) *Summary {
 	if cap < 0 {
 		cap = 0
 	}
 	return &Summary{
-		index:      make(map[string]int32, cap),
+		table:      make([]uint64, tableLen(cap)),
 		nodes:      make([]node, 0, cap),
 		heads:      make([]uint64, 0, cap),
 		perm:       make([]int32, 0, cap),
@@ -139,18 +171,87 @@ func (s *Summary) allocNode(item string) int32 {
 	return int32(len(s.nodes) - 1)
 }
 
+// lookup returns item's table position and node slot, or, when item is
+// absent, the first empty position on its probe chain and none. A tag
+// match costs one label comparison; any other slot costs nothing more.
+func (s *Summary) lookup(item string, tag uint32) (pos uint32, ni int32) {
+	table := s.table
+	mask := uint32(len(table) - 1)
+	for pos = tag & mask; ; pos = (pos + 1) & mask {
+		e := table[pos]
+		if e == 0 {
+			return pos, none
+		}
+		if uint32(e) == tag {
+			if ni := int32(e>>32) - 1; s.nodes[ni].item == item {
+				return pos, ni
+			}
+		}
+	}
+}
+
+// find returns item's node slot, or none when item is absent.
+func (s *Summary) find(item string) int32 {
+	_, ni := s.lookup(item, tagOf(item))
+	return ni
+}
+
+// place stores e in the first empty slot of its probe chain. The caller
+// knows e's label is absent.
+func (s *Summary) place(e uint64) {
+	table := s.table
+	mask := uint32(len(table) - 1)
+	pos := uint32(e) & mask
+	for table[pos] != 0 {
+		pos = (pos + 1) & mask
+	}
+	table[pos] = e
+}
+
+// unplace empties the slot at pos by backward-shift deletion: each later
+// entry of the probe chain whose home lies at or before the hole moves
+// into it, so no lookup ever meets an empty slot before its item.
+func (s *Summary) unplace(pos uint32) {
+	table := s.table
+	mask := uint32(len(table) - 1)
+	for j := (pos + 1) & mask; table[j] != 0; j = (j + 1) & mask {
+		// (j - tag) & mask is the entry's distance from its home.
+		if (j-uint32(table[j]))&mask >= (j-pos)&mask {
+			table[pos] = table[j]
+			pos = j
+		}
+	}
+	table[pos] = 0
+}
+
+// reserve doubles the table until n items fill at most half of it. The
+// tags in the entries give each one's new home, so no label is rehashed.
+func (s *Summary) reserve(n int) {
+	if 2*n <= len(s.table) {
+		return
+	}
+	old := s.table
+	s.table = make([]uint64, tableLen(n))
+	for _, e := range old {
+		if e != 0 {
+			s.place(e)
+		}
+	}
+}
+
 // LoadDescending bulk-loads (item, count) pairs — counts non-increasing,
 // all positive — into an empty summary in one pass: nodes and perm slots
 // are appended in order, each run of equal counts becomes one bucket, and
-// each item costs exactly one map store. Duplicate items are detected for
-// free after the fact (a duplicate leaves the index smaller than the node
-// count), so the load path performs a third of the map probes the
-// insert-per-bin path pays. On error the summary is left partially
-// loaded and must be discarded.
+// each item costs exactly one table probe. A probe that finds its item
+// already loaded adds no entry, so a duplicate is detected after the fact
+// by the table holding fewer entries than the node slab. On error the
+// summary is left partially loaded and must be discarded.
 func (s *Summary) LoadDescending(bins []Bin) error {
 	if len(s.perm) != 0 || len(s.nodes) != 0 {
 		return fmt.Errorf("streamsummary: load into non-empty summary")
 	}
+	s.reserve(len(bins))
+	entries := 0
 	prev := int64(math.MaxInt64)
 	bi := none
 	for _, b := range bins {
@@ -172,10 +273,14 @@ func (s *Summary) LoadDescending(bins []Bin) error {
 		s.heads = append(s.heads, headOf(b.Item))
 		s.perm = append(s.perm, ni)
 		s.buckets[bi].end++
-		s.index[b.Item] = ni
+		tag := tagOf(b.Item)
+		if pos, dup := s.lookup(b.Item, tag); dup == none {
+			s.table[pos] = entry(ni, tag)
+			entries++
+		}
 		s.total += b.Count
 	}
-	if len(s.index) != len(s.perm) {
+	if entries != len(s.perm) {
 		// Size mismatch proves a duplicate exists; rescan (error path
 		// only) to name it for the caller's diagnostics.
 		seen := make(map[string]struct{}, len(bins))
@@ -224,18 +329,15 @@ func (s *Summary) Total() int64 { return s.total }
 
 // Count returns item's counter and whether the item is present.
 func (s *Summary) Count(item string) (int64, bool) {
-	ni, ok := s.index[item]
-	if !ok {
+	ni := s.find(item)
+	if ni == none {
 		return 0, false
 	}
 	return s.buckets[s.nodes[ni].bucket].count, true
 }
 
 // Contains reports whether item labels one of the bins.
-func (s *Summary) Contains(item string) bool {
-	_, ok := s.index[item]
-	return ok
-}
+func (s *Summary) Contains(item string) bool { return s.find(item) != none }
 
 // MinCount returns the smallest counter value, or 0 when the summary is
 // empty.
@@ -271,11 +373,14 @@ func (s *Summary) NumMin() int {
 // RestoreUnit feeds (descending) — and O(#buckets with a smaller count)
 // otherwise: each such bucket rotates one element to open the slot.
 func (s *Summary) Insert(item string, count int64) {
-	if _, ok := s.index[item]; ok {
+	s.reserve(len(s.perm) + 1)
+	tag := tagOf(item)
+	pos, dup := s.lookup(item, tag)
+	if dup != none {
 		panic(fmt.Sprintf("streamsummary: duplicate insert of %q", item))
 	}
 	ni := s.allocNode(item)
-	s.index[item] = ni
+	s.table[pos] = entry(ni, tag)
 	s.total += count
 
 	hole := int32(len(s.perm))
@@ -322,8 +427,8 @@ func (s *Summary) Insert(item string, count int64) {
 // layered on top — expiring decayed bins, dropping blocklisted keys — and
 // it is what exercises the node free-list (see FuzzStreamSummaryOps).
 func (s *Summary) Remove(item string) (count int64, ok bool) {
-	ni, present := s.index[item]
-	if !present {
+	pos, ni := s.lookup(item, tagOf(item))
+	if ni == none {
 		return 0, false
 	}
 	bi := s.nodes[ni].bucket
@@ -355,7 +460,7 @@ func (s *Summary) Remove(item string) (count int64, ok bool) {
 	if emptied {
 		s.releaseBucket(bi)
 	}
-	delete(s.index, item)
+	s.unplace(pos)
 	s.releaseNode(ni)
 	s.total -= count
 	return count, true
@@ -364,8 +469,8 @@ func (s *Summary) Remove(item string) (count int64, ok bool) {
 // Increment adds 1 to item's counter, moving it to the adjacent bucket.
 // It reports whether the item was present.
 func (s *Summary) Increment(item string) bool {
-	ni, ok := s.index[item]
-	if !ok {
+	ni := s.find(item)
+	if ni == none {
 		return false
 	}
 	s.bump(ni)
@@ -456,7 +561,8 @@ func (s *Summary) IncrementRandomMin(rng IntN) (prevMin int64, ok bool) {
 // relabels it to newItem. It returns the previous minimum count and the
 // evicted label. It panics if newItem is already present.
 func (s *Summary) ReplaceRandomMin(newItem string, rng IntN) (prevMin int64, evicted string, ok bool) {
-	if _, dup := s.index[newItem]; dup {
+	tag := tagOf(newItem)
+	if _, dup := s.lookup(newItem, tag); dup != none {
 		panic(fmt.Sprintf("streamsummary: ReplaceRandomMin with existing item %q", newItem))
 	}
 	ni := s.randomMin(rng)
@@ -466,10 +572,13 @@ func (s *Summary) ReplaceRandomMin(newItem string, rng IntN) (prevMin int64, evi
 	n := &s.nodes[ni]
 	prevMin = s.buckets[n.bucket].count
 	evicted = n.item
-	delete(s.index, evicted)
+	pos, _ := s.lookup(evicted, tagOf(evicted))
+	s.unplace(pos)
+	// The shift may have emptied a slot on newItem's chain ahead of the
+	// one the duplicate check ended at, so place probes afresh.
+	s.place(entry(ni, tag))
 	n.item = newItem
 	s.heads[ni] = headOf(newItem)
-	s.index[newItem] = ni
 	s.bump(ni)
 	return prevMin, evicted, true
 }
@@ -548,7 +657,7 @@ func (s *Summary) ItemsSum(items []string) (sum float64, hits int) {
 	var buf [32]int32
 	found := buf[:0]
 	for _, it := range items {
-		if ni, ok := s.index[it]; ok {
+		if ni := s.find(it); ni != none {
 			found = append(found, s.nodes[ni].pos)
 		}
 	}
@@ -571,18 +680,16 @@ func (s *Summary) ItemsSum(items []string) (sum float64, hits int) {
 
 // CheckInvariants validates internal consistency: the perm array is a
 // permutation of the live nodes, partitioned into contiguous bucket ranges
-// with strictly ascending counts; positions, back-references, index and
-// total mass agree; every live node's head word matches its label; and
-// every slab slot is either live or on exactly one free-list, with free
-// slots properly scrubbed (no item, zero head). It is exported for tests
-// and returns a descriptive error on the first violation found.
+// with strictly ascending counts; positions, back-references, the table
+// (see checkTable) and total mass agree; every live node's head word
+// matches its label; and every slab slot is either live or on exactly one
+// free-list, with free slots properly scrubbed (no item, zero head). It is
+// exported for tests and returns a descriptive error on the first
+// violation found.
 func (s *Summary) CheckInvariants() error {
 	L := int32(len(s.perm))
 	if len(s.heads) != len(s.nodes) {
 		return fmt.Errorf("head slab holds %d slots, node slab %d", len(s.heads), len(s.nodes))
-	}
-	if int(L) != len(s.index) {
-		return fmt.Errorf("perm holds %d nodes, index holds %d", L, len(s.index))
 	}
 	seenNode := make([]bool, len(s.nodes))
 	seenBucket := make([]bool, len(s.buckets))
@@ -604,8 +711,8 @@ func (s *Summary) CheckInvariants() error {
 		if n.pos != i {
 			return fmt.Errorf("node %q has pos %d, want %d", n.item, n.pos, i)
 		}
-		if got, ok := s.index[n.item]; !ok || got != ni {
-			return fmt.Errorf("index disagrees for %q", n.item)
+		if got := s.find(n.item); got != ni {
+			return fmt.Errorf("table finds node %d for %q, want %d", got, n.item, ni)
 		}
 		if want := headOf(n.item); s.heads[ni] != want {
 			return fmt.Errorf("node %q has head %#016x, want %#016x", n.item, s.heads[ni], want)
@@ -643,6 +750,10 @@ func (s *Summary) CheckInvariants() error {
 	if sum != s.total {
 		return fmt.Errorf("total %d, want %d", s.total, sum)
 	}
+	// Before the free-list walk seenNode marks exactly the live nodes.
+	if err := s.checkTable(seenNode); err != nil {
+		return err
+	}
 	// Free-list accounting: walk each free-list; the seen arrays double as
 	// cycle and live/free-overlap detectors.
 	freeBuckets := 0
@@ -678,6 +789,52 @@ func (s *Summary) CheckInvariants() error {
 	}
 	if int(L)+freeNodes != len(s.nodes) {
 		return fmt.Errorf("node slab holds %d slots, %d live + %d free", len(s.nodes), L, freeNodes)
+	}
+	return nil
+}
+
+// checkTable audits the table slot by slot against the live nodes
+// (live[ni] marks them): every used slot names a live node whose label
+// hashes to the slot's tag, with no empty slot between the tag's home and
+// the slot; no node has two slots and used slots number Len(), so every
+// live node has exactly one; and the table is a power of two at most half
+// full.
+func (s *Summary) checkTable(live []bool) error {
+	size := len(s.table)
+	if size == 0 || size&(size-1) != 0 {
+		return fmt.Errorf("table length %d is not a power of two", size)
+	}
+	mask := uint32(size - 1)
+	indexed := make([]bool, len(s.nodes))
+	used := 0
+	for i, e := range s.table {
+		if e == 0 {
+			continue
+		}
+		used++
+		ni := int32(e>>32) - 1
+		if ni < 0 || int(ni) >= len(s.nodes) || !live[ni] {
+			return fmt.Errorf("table slot %d names node %d, which is not live", i, ni)
+		}
+		if indexed[ni] {
+			return fmt.Errorf("node %d has two table slots", ni)
+		}
+		indexed[ni] = true
+		item, tag := s.nodes[ni].item, uint32(e)
+		if want := tagOf(item); tag != want {
+			return fmt.Errorf("table slot %d tags %q %#08x, want %#08x", i, item, tag, want)
+		}
+		for j := tag & mask; j != uint32(i); j = (j + 1) & mask {
+			if s.table[j] == 0 {
+				return fmt.Errorf("%q sits at table slot %d past empty slot %d of its probe chain", item, i, j)
+			}
+		}
+	}
+	if used != len(s.perm) {
+		return fmt.Errorf("table holds %d entries, perm %d nodes", used, len(s.perm))
+	}
+	if 2*used > size {
+		return fmt.Errorf("table holds %d entries in %d slots, over half full", used, size)
 	}
 	return nil
 }
